@@ -9,6 +9,7 @@ package agentmesh_test
 
 import (
 	"bytes"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"testing"
@@ -266,6 +267,16 @@ func TestReplayMatchesPinnedRun(t *testing.T) {
 	}
 	if err := lw.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// The log bytes themselves are pinned, so any drift in the binary log
+	// format (framing, record layout, predictor coding) fails here.
+	h := fnv.New64a()
+	h.Write(buf.Bytes())
+	if got, want := buf.Len(), 226407; got != want {
+		t.Errorf("log length = %d bytes, pinned %d", got, want)
+	}
+	if got, want := h.Sum64(), uint64(0xf3ba569c893b4bd7); got != want {
+		t.Errorf("log FNV-64a = %#016x, pinned %#016x", got, want)
 	}
 	// Recording must not perturb the simulation: the pinned aggregates of
 	// TestRoutingResultPinned still hold with the recorder attached.

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 
@@ -177,4 +178,47 @@ func TestStepRecorderNilSink(t *testing.T) {
 	rec.BeforeStep(0)
 	w.Step()
 	rec.AfterWorldStep()
+}
+
+// TestStepRecorderAnchorEveryOne pins the densest anchor cadence: with
+// AnchorEvery=1 the recorder must anchor before every harness step, each
+// anchor must equal the world's snapshot at that instant, and every
+// non-empty world step must still emit exactly one delta labeled step+1.
+func TestStepRecorderAnchorEveryOne(t *testing.T) {
+	const steps = 25
+	w := buildFaultWorld(t, 50, []NodeID{0}, 19)
+	sink := &sinkBuffer{}
+	rec := NewStepRecorder(w, sink, 1)
+	if rec == nil {
+		t.Fatal("recorder is nil for a non-nil sink")
+	}
+	want := make(map[int][]byte)
+	for step := 0; step < steps; step++ {
+		b, err := json.Marshal(w.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[step] = b
+		rec.BeforeStep(step)
+		w.Step()
+		rec.AfterWorldStep()
+	}
+	if len(sink.anchors) != steps {
+		t.Fatalf("got %d anchors, want one per step (%d)", len(sink.anchors), steps)
+	}
+	for step, b := range want {
+		if !bytes.Equal(sink.anchors[step], b) {
+			t.Fatalf("anchor at step %d does not match the world snapshot", step)
+		}
+	}
+	// A dynamic world moves every step here, so the deltas must cover steps
+	// 1..steps in order.
+	if len(sink.deltas) != steps {
+		t.Fatalf("got %d deltas, want %d", len(sink.deltas), steps)
+	}
+	for i, d := range sink.deltas {
+		if d.Step != i+1 {
+			t.Fatalf("delta %d labeled step %d, want %d", i, d.Step, i+1)
+		}
+	}
 }

@@ -15,17 +15,24 @@ package network
 // and zero grid maintenance, and is bit-identical to live stepping (pinned
 // by the equivalence, fuzz, and -race gates in trajectory_test.go).
 //
-// Wire format for Trajectory.data — a sequence of records, each:
+// Wire format for Trajectory.data (version 2) — a sequence of records,
+// one per step that changed anything, each:
 //
 //	uvarint gap      empty steps preceding this record
-//	byte    flags    trajMoved | trajRanges | trajAdds | trajRemoves | trajFault
-//	payloads         in flag order, see encode/decode below
+//	body             the trace world-delta record body (trace.DeltaCodec):
+//	                 changed positions, changed ranges, fault transition —
+//	                 byte for byte the layout the binary event log carries
+//	pairs   adds     edges that appeared, sorted by (u, v)
+//	pairs   removes  edges that vanished, sorted by (u, v)
+//	uvarint×2        fault records only: events injected, recovered
 //
-// Trailing empty steps carry no bytes at all (the step count bounds them).
-// Float values ride the predictor chain (xor against a linear extrapolation
-// of the node's last two values), and the chains reset at every anchor-era
-// boundary — both sides derive the era from the record's step number alone,
-// so a Trajectory decodes identically whether or not an anchor was stored.
+// where pairs is a uvarint count followed by (du, dv) gaps, dv restarting
+// from zero whenever u advances. Trailing empty steps carry no bytes at all
+// (the step count bounds them). The body's predictor chains reset at every
+// anchor-era boundary — both sides derive the era from the record's step
+// number alone, so a Trajectory decodes identically whether or not an
+// anchor was stored. Version 1 (a flags byte and a trajectory-private
+// layout) is no longer read.
 
 import (
 	"encoding/binary"
@@ -33,7 +40,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"sync"
 
@@ -43,20 +49,10 @@ import (
 	"repro/internal/trace"
 )
 
-const (
-	trajMoved   = 1 << iota // changed positions
-	trajRanges              // changed radio ranges
-	trajAdds                // edges that appeared
-	trajRemoves             // edges that vanished
-	trajFault               // fault-epoch transition (full masks)
-
-	trajAllFlags = trajMoved | trajRanges | trajAdds | trajRemoves | trajFault
-)
-
 // trajMagic and trajVersion frame the serialised form (MarshalBinary).
 const (
 	trajMagic   = "AMSHTRAJ"
-	trajVersion = 1
+	trajVersion = 2
 )
 
 // ErrTrajectoryCorrupt wraps every decode/validation failure so callers can
@@ -163,7 +159,6 @@ func (t *Trajectory) hashInput() []byte {
 //	for i := 0; i < steps; i++ { w.Step(); rec.AfterStep() }
 //	traj := rec.Finish()
 type TrajectoryRecorder struct {
-	w     *World
 	t     *Trajectory
 	every int
 
@@ -172,16 +167,8 @@ type TrajectoryRecorder struct {
 	dirty bool // a record was emitted since the last stored anchor
 	era   int
 
-	prevX, prevY, prevRange     []float64
-	prevEpoch                   int
-	prevInjected, prevRecovered uint64
-	prevOff                     []int32
-	prevDst                     []NodeID
-
-	xs, ys, rs []trajLane
-
-	movedIDs, rangeIDs     []int32
-	addU, addV, remU, remV []int32
+	diff  worldDiffer
+	codec trace.DeltaCodec
 }
 
 // NewTrajectoryRecorder starts recording w; every <= 0 uses
@@ -196,213 +183,54 @@ func NewTrajectoryRecorder(w *World, every int) (*TrajectoryRecorder, error) {
 	if err != nil {
 		return nil, fmt.Errorf("network: marshalling trajectory start snapshot: %w", err)
 	}
-	n := w.N()
 	r := &TrajectoryRecorder{
-		w:     w,
 		every: every,
 		t: &Trajectory{
-			n:       n,
+			n:       w.N(),
 			every:   every,
 			dynamic: w.dynamic,
 			start:   start,
 			snap:    snap,
 		},
-		prevX:     make([]float64, n),
-		prevY:     make([]float64, n),
-		prevRange: make([]float64, n),
-		prevEpoch: w.FaultEpoch(),
-		xs:        make([]trajLane, n),
-		ys:        make([]trajLane, n),
-		rs:        make([]trajLane, n),
 	}
-	if f := w.flt; f != nil {
-		r.prevInjected, r.prevRecovered = f.injectedTotal, f.recoveredTotal
-	}
-	for u := 0; u < n; u++ {
-		p := w.pos[u]
-		r.prevX[u], r.prevY[u] = p.X, p.Y
-		r.prevRange[u] = w.radios[u].Range()
-	}
-	r.captureTopo()
+	r.diff.init(w, true)
+	r.codec.Grow(w.N())
 	return r, nil
-}
-
-// captureTopo copies the world's adjacency into the recorder's flat CSR
-// baseline.
-func (r *TrajectoryRecorder) captureTopo() {
-	g := r.w.topo
-	n := r.w.N()
-	r.prevOff = append(r.prevOff[:0], 0)
-	r.prevDst = r.prevDst[:0]
-	for u := 0; u < n; u++ {
-		r.prevDst = append(r.prevDst, g.Out(NodeID(u))...)
-		r.prevOff = append(r.prevOff, int32(len(r.prevDst)))
-	}
-}
-
-// diffTopo merges each node's previous and current sorted out-lists into
-// the add/remove churn lists — O(E_prev + E_cur) total.
-func (r *TrajectoryRecorder) diffTopo() {
-	r.addU, r.addV = r.addU[:0], r.addV[:0]
-	r.remU, r.remV = r.remU[:0], r.remV[:0]
-	g := r.w.topo
-	n := r.w.N()
-	for u := 0; u < n; u++ {
-		prev := r.prevDst[r.prevOff[u]:r.prevOff[u+1]]
-		cur := g.Out(NodeID(u))
-		i, j := 0, 0
-		for i < len(prev) && j < len(cur) {
-			switch {
-			case prev[i] == cur[j]:
-				i++
-				j++
-			case prev[i] < cur[j]:
-				r.remU = append(r.remU, int32(u))
-				r.remV = append(r.remV, int32(prev[i]))
-				i++
-			default:
-				r.addU = append(r.addU, int32(u))
-				r.addV = append(r.addV, int32(cur[j]))
-				j++
-			}
-		}
-		for ; i < len(prev); i++ {
-			r.remU = append(r.remU, int32(u))
-			r.remV = append(r.remV, int32(prev[i]))
-		}
-		for ; j < len(cur); j++ {
-			r.addU = append(r.addU, int32(u))
-			r.addV = append(r.addV, int32(cur[j]))
-		}
-	}
 }
 
 // AfterStep records the delta between the world's previous and current
 // state. Call immediately after every World.Step.
 func (r *TrajectoryRecorder) AfterStep() {
-	w := r.w
 	r.steps++
 	rel := r.steps
-	faultChanged := w.FaultEpoch() != r.prevEpoch
-	if w.dynamic || faultChanged {
-		r.emitDiff(rel, faultChanged)
+	if r.diff.step() {
+		r.emit(rel)
 	} else {
-		// Static world between fault epochs: nothing can have changed.
 		r.gap++
 	}
 	if rel%r.every == 0 && r.dirty {
-		if b, err := json.Marshal(w.Snapshot()); err == nil {
+		if b, err := json.Marshal(r.diff.w.Snapshot()); err == nil {
 			r.t.anchors = append(r.t.anchors, TrajAnchor{Step: rel, Snap: b})
 			r.dirty = false
 		}
 	}
 }
 
-func (r *TrajectoryRecorder) emitDiff(rel int, faultChanged bool) {
-	w := r.w
-	n := w.N()
-	r.movedIDs, r.rangeIDs = r.movedIDs[:0], r.rangeIDs[:0]
-	for u := 0; u < n; u++ {
-		p := w.pos[u]
-		if p.X != r.prevX[u] || p.Y != r.prevY[u] {
-			r.movedIDs = append(r.movedIDs, int32(u))
-		}
-		if rg := w.radios[u].Range(); rg != r.prevRange[u] {
-			r.rangeIDs = append(r.rangeIDs, int32(u))
-		}
-	}
-	r.diffTopo()
-	var flags byte
-	if len(r.movedIDs) > 0 {
-		flags |= trajMoved
-	}
-	if len(r.rangeIDs) > 0 {
-		flags |= trajRanges
-	}
-	if len(r.addU) > 0 {
-		flags |= trajAdds
-	}
-	if len(r.remU) > 0 {
-		flags |= trajRemoves
-	}
-	if faultChanged {
-		flags |= trajFault
-	}
-	if flags == 0 {
-		r.gap++
-		return
-	}
+// emit appends the differ's delta as the record for step rel.
+func (r *TrajectoryRecorder) emit(rel int) {
 	if era := (rel - 1) / r.every; era != r.era {
-		resetTrajLanes(r.xs)
-		resetTrajLanes(r.ys)
-		resetTrajLanes(r.rs)
+		r.codec.Reset()
 		r.era = era
 	}
-	t := r.t
+	t, f := r.t, &r.diff
 	t.data = binary.AppendUvarint(t.data, uint64(r.gap))
-	t.data = append(t.data, flags)
 	r.gap = 0
-	if flags&trajMoved != 0 {
-		t.data = trajAppendIDs(t.data, r.movedIDs)
-		for _, u := range r.movedIDs {
-			bits := math.Float64bits(w.pos[u].X)
-			t.data = binary.AppendUvarint(t.data, trajXorLane(r.xs, int(u), bits))
-			r.prevX[u] = w.pos[u].X
-		}
-		for _, u := range r.movedIDs {
-			bits := math.Float64bits(w.pos[u].Y)
-			t.data = binary.AppendUvarint(t.data, trajXorLane(r.ys, int(u), bits))
-			r.prevY[u] = w.pos[u].Y
-		}
-	}
-	if flags&trajRanges != 0 {
-		t.data = trajAppendIDs(t.data, r.rangeIDs)
-		for _, u := range r.rangeIDs {
-			rg := w.radios[u].Range()
-			t.data = binary.AppendUvarint(t.data, trajXorLane(r.rs, int(u), math.Float64bits(rg)))
-			r.prevRange[u] = rg
-		}
-	}
-	if flags&trajAdds != 0 {
-		t.data = trajAppendPairs(t.data, r.addU, r.addV)
-	}
-	if flags&trajRemoves != 0 {
-		t.data = trajAppendPairs(t.data, r.remU, r.remV)
-	}
-	if flags&trajAdds != 0 || flags&trajRemoves != 0 {
-		r.captureTopo()
-	}
-	if faultChanged {
-		r.prevEpoch = w.FaultEpoch()
-		f := w.flt
-		var dead, gwDown []int32
-		var part bool
-		var partX float64
-		var injected, recovered uint64
-		if f != nil {
-			for u := 0; u < n; u++ {
-				if f.dead[u] {
-					dead = append(dead, int32(u))
-				}
-				if f.gwDown[u] {
-					gwDown = append(gwDown, int32(u))
-				}
-			}
-			part, partX = f.partActive, f.partX
-			injected = f.injectedTotal - r.prevInjected
-			recovered = f.recoveredTotal - r.prevRecovered
-			r.prevInjected, r.prevRecovered = f.injectedTotal, f.recoveredTotal
-		}
-		t.data = trajAppendIDs(t.data, dead)
-		t.data = trajAppendIDs(t.data, gwDown)
-		if part {
-			t.data = append(t.data, 1)
-			t.data = binary.LittleEndian.AppendUint64(t.data, math.Float64bits(partX))
-		} else {
-			t.data = append(t.data, 0)
-		}
-		t.data = binary.AppendUvarint(t.data, injected)
-		t.data = binary.AppendUvarint(t.data, recovered)
+	t.data = r.codec.Append(t.data, &f.d)
+	t.data = appendPairs(t.data, f.addU, f.addV)
+	t.data = appendPairs(t.data, f.remU, f.remV)
+	if f.d.FaultChanged {
+		t.data = binary.AppendUvarint(t.data, f.injected)
+		t.data = binary.AppendUvarint(t.data, f.recovered)
 	}
 	t.records++
 	r.dirty = true
@@ -512,11 +340,12 @@ func (w *World) StepFromTrajectory() {
 	if !has {
 		return
 	}
-	for i, u := range c.moved {
-		w.pos[u] = geom.Point{X: c.movedX[i], Y: c.movedY[i]}
+	d := &c.d
+	for i, u := range d.Nodes {
+		w.pos[u] = geom.Point{X: d.X[i], Y: d.Y[i]}
 	}
-	for i, u := range c.rangeIDs {
-		w.radios[u] = radio.New(c.ranges[i])
+	for i, u := range d.RangeNodes {
+		w.radios[u] = radio.New(d.Ranges[i])
 	}
 	if len(c.addU) > 0 || len(c.remU) > 0 {
 		for i := range c.addU {
@@ -541,8 +370,8 @@ func (w *World) StepFromTrajectory() {
 			}
 		}
 	}
-	if c.faultRec {
-		w.applyTrajFault(c.dead, c.gwDown, c.part, c.partX, c.injected, c.recovered)
+	if d.FaultChanged {
+		w.applyTrajFault(d, c.injected, c.recovered)
 	}
 }
 
@@ -559,25 +388,21 @@ func (w *World) TrajectoryRemaining() int {
 // masks replace the current ones (records carry absolute state, so replay
 // needs no event semantics), and the faults_* instruments advance by the
 // recorded injected/recovered counts — identical to the live counters.
-func (w *World) applyTrajFault(dead, gwDown []int32, part bool, partX float64, injected, recovered uint64) {
+func (w *World) applyTrajFault(d *trace.WorldDelta, injected, recovered uint64) {
 	if w.flt == nil {
 		w.initFaultState()
 	}
 	f := w.flt
-	for i := range f.dead {
-		f.dead[i] = false
-	}
-	for i := range f.gwDown {
-		f.gwDown[i] = false
-	}
-	for _, u := range dead {
+	clear(f.dead)
+	clear(f.gwDown)
+	for _, u := range d.Dead {
 		f.dead[u] = true
 	}
-	for _, g := range gwDown {
+	for _, g := range d.DownGateways {
 		f.gwDown[g] = true
 	}
-	f.aliveCount = w.N() - len(dead)
-	f.partActive, f.partX = part, partX
+	f.aliveCount = w.N() - len(d.Dead)
+	f.partActive, f.partX = d.Partition, d.PartitionX
 	w.refreshActiveGateways()
 	f.epoch++
 	f.injectedTotal += injected
@@ -587,7 +412,7 @@ func (w *World) applyTrajFault(dead, gwDown []int32, part bool, partX float64, i
 	f.lastEvents = f.sched.At(w.step)
 	w.m.faultsInjected.Add(injected)
 	w.m.faultsRecovered.Add(recovered)
-	w.m.faultsNodesDown.Set(float64(len(dead)))
+	w.m.faultsNodesDown.Set(float64(len(d.Dead)))
 }
 
 // trajDecoder walks the delta stream one step at a time, maintaining the
@@ -595,32 +420,24 @@ func (w *World) applyTrajFault(dead, gwDown []int32, part bool, partX float64, i
 // validation walker (validate) and the per-world replay cursor (World).
 type trajDecoder struct {
 	t    *Trajectory
-	pos  int
+	cur  trace.Cursor
 	rel  int // steps consumed so far
 	era  int
 	gap  int  // empty steps remaining before the next record; -1 = unloaded
 	rest bool // no more records: every remaining step is empty
 
-	xs, ys, rs []trajLane
+	codec trace.DeltaCodec
 
-	moved, rangeIDs        []int32
-	movedX, movedY, ranges []float64
+	// The current record: its body, edge churn, and fault counts.
+	d                      trace.WorldDelta
 	addU, addV, remU, remV []int32
-	dead, gwDown           []int32
-	part                   bool
-	partX                  float64
 	injected, recovered    uint64
-	faultRec               bool
 }
 
 func newTrajDecoder(t *Trajectory) *trajDecoder {
-	return &trajDecoder{
-		t:   t,
-		gap: -1,
-		xs:  make([]trajLane, t.n),
-		ys:  make([]trajLane, t.n),
-		rs:  make([]trajLane, t.n),
-	}
+	d := &trajDecoder{t: t, cur: trace.NewCursor(t.data, ErrTrajectoryCorrupt), gap: -1}
+	d.codec.Grow(t.n)
+	return d
 }
 
 // next consumes one step: it reports whether this step carries a record
@@ -628,15 +445,15 @@ func newTrajDecoder(t *Trajectory) *trajDecoder {
 func (d *trajDecoder) next() (bool, error) {
 	d.rel++
 	if d.gap < 0 {
-		if d.pos >= len(d.t.data) {
+		if d.cur.Len() == 0 {
 			d.rest = true
 		} else {
-			g, err := d.uvarint()
-			if err != nil {
-				return false, err
-			}
+			g := d.cur.Uvarint()
 			if g > uint64(d.t.steps) {
-				return false, trajCorrupt("step gap %d exceeds the %d-step horizon", g, d.t.steps)
+				d.cur.Failf("step gap %d exceeds the %d-step horizon", g, d.t.steps)
+			}
+			if err := d.cur.Err(); err != nil {
+				return false, fmt.Errorf("network: %w", err)
 			}
 			d.gap = int(g)
 		}
@@ -653,106 +470,22 @@ func (d *trajDecoder) next() (bool, error) {
 }
 
 func (d *trajDecoder) decodeRecord() error {
-	d.faultRec = false
 	if era := (d.rel - 1) / d.t.every; era != d.era {
-		resetTrajLanes(d.xs)
-		resetTrajLanes(d.ys)
-		resetTrajLanes(d.rs)
+		d.codec.Reset()
 		d.era = era
 	}
-	flags, err := d.byte()
-	if err != nil {
-		return err
+	c := &d.cur
+	d.codec.Decode(c, &d.d, d.t.n)
+	d.addU, d.addV = d.pairs(d.addU[:0], d.addV[:0])
+	d.remU, d.remV = d.pairs(d.remU[:0], d.remV[:0])
+	d.injected, d.recovered = 0, 0
+	if d.d.FaultChanged {
+		d.injected, d.recovered = c.Uvarint(), c.Uvarint()
+	} else if len(d.d.Nodes)+len(d.d.RangeNodes)+len(d.addU)+len(d.remU) == 0 {
+		c.Failf("empty record")
 	}
-	if flags == 0 || flags&^byte(trajAllFlags) != 0 {
-		return trajCorrupt("invalid record flags %#x at step %d", flags, d.rel)
-	}
-	n := d.t.n
-	if flags&trajMoved != 0 {
-		if d.moved, err = d.ids(d.moved[:0], n); err != nil {
-			return err
-		}
-		d.movedX, d.movedY = d.movedX[:0], d.movedY[:0]
-		for _, u := range d.moved {
-			bits, err := d.lane(d.xs, int(u))
-			if err != nil {
-				return err
-			}
-			d.movedX = append(d.movedX, math.Float64frombits(bits))
-		}
-		for _, u := range d.moved {
-			bits, err := d.lane(d.ys, int(u))
-			if err != nil {
-				return err
-			}
-			d.movedY = append(d.movedY, math.Float64frombits(bits))
-		}
-	} else {
-		d.moved = d.moved[:0]
-	}
-	if flags&trajRanges != 0 {
-		if d.rangeIDs, err = d.ids(d.rangeIDs[:0], n); err != nil {
-			return err
-		}
-		d.ranges = d.ranges[:0]
-		for _, u := range d.rangeIDs {
-			bits, err := d.lane(d.rs, int(u))
-			if err != nil {
-				return err
-			}
-			v := math.Float64frombits(bits)
-			if v < 0 {
-				return trajCorrupt("negative radio range for node %d at step %d", u, d.rel)
-			}
-			d.ranges = append(d.ranges, v)
-		}
-	} else {
-		d.rangeIDs = d.rangeIDs[:0]
-	}
-	if flags&trajAdds != 0 {
-		if d.addU, d.addV, err = d.pairs(d.addU[:0], d.addV[:0], n); err != nil {
-			return err
-		}
-	} else {
-		d.addU, d.addV = d.addU[:0], d.addV[:0]
-	}
-	if flags&trajRemoves != 0 {
-		if d.remU, d.remV, err = d.pairs(d.remU[:0], d.remV[:0], n); err != nil {
-			return err
-		}
-	} else {
-		d.remU, d.remV = d.remU[:0], d.remV[:0]
-	}
-	if flags&trajFault != 0 {
-		d.faultRec = true
-		if d.dead, err = d.ids(d.dead[:0], n); err != nil {
-			return err
-		}
-		if d.gwDown, err = d.ids(d.gwDown[:0], n); err != nil {
-			return err
-		}
-		pb, err := d.byte()
-		if err != nil {
-			return err
-		}
-		switch pb {
-		case 0:
-			d.part, d.partX = false, 0
-		case 1:
-			bits, err := d.u64()
-			if err != nil {
-				return err
-			}
-			d.part, d.partX = true, math.Float64frombits(bits)
-		default:
-			return trajCorrupt("invalid partition marker %d at step %d", pb, d.rel)
-		}
-		if d.injected, err = d.uvarint(); err != nil {
-			return err
-		}
-		if d.recovered, err = d.uvarint(); err != nil {
-			return err
-		}
+	if err := c.Err(); err != nil {
+		return fmt.Errorf("network: step %d: %w", d.rel, err)
 	}
 	return nil
 }
@@ -795,8 +528,8 @@ func (t *Trajectory) validate() error {
 	if !d.rest && d.gap > 0 {
 		return trajCorrupt("step gap overruns the %d-step horizon", t.steps)
 	}
-	if d.pos != len(t.data) {
-		return trajCorrupt("%d trailing bytes after the final record", len(t.data)-d.pos)
+	if d.cur.Len() != 0 {
+		return trajCorrupt("%d trailing bytes after the final record", d.cur.Len())
 	}
 	if records != t.records {
 		return trajCorrupt("stream holds %d records, header says %d", records, t.records)
@@ -805,65 +538,11 @@ func (t *Trajectory) validate() error {
 }
 
 // ---------------------------------------------------------------------------
-// Primitive codec (mirrors the trace binlog idioms)
+// Edge churn lists (the trajectory-only record suffix)
 
-// trajLane is one node's predictor context in a float lane: the bit
-// patterns of its last two values and how many the chain has seen.
-type trajLane struct {
-	v1, v2 uint64
-	seen   uint8
-}
-
-func resetTrajLanes(l []trajLane) {
-	for i := range l {
-		l[i] = trajLane{}
-	}
-}
-
-// trajPredict returns the predicted bit pattern for lane u's next value: 0
-// before any sample, the previous value after one, then the linear
-// extrapolation 2*v1 - v2 — both single correctly-rounded IEEE ops, so
-// encoder and decoder agree bit for bit on any platform.
-func trajPredict(l []trajLane, u int) uint64 {
-	st := l[u]
-	switch st.seen {
-	case 0:
-		return 0
-	case 1:
-		return st.v1
-	default:
-		return math.Float64bits(2*math.Float64frombits(st.v1) - math.Float64frombits(st.v2))
-	}
-}
-
-func trajPush(l []trajLane, u int, bits uint64) {
-	st := &l[u]
-	st.v2, st.v1 = st.v1, bits
-	if st.seen < 2 {
-		st.seen++
-	}
-}
-
-func trajXorLane(l []trajLane, u int, bits uint64) uint64 {
-	out := bits ^ trajPredict(l, u)
-	trajPush(l, u, bits)
-	return out
-}
-
-// trajAppendIDs writes a strictly ascending id list as a count plus deltas.
-func trajAppendIDs(b []byte, ids []int32) []byte {
-	b = binary.AppendUvarint(b, uint64(len(ids)))
-	prev := int32(0)
-	for _, id := range ids {
-		b = binary.AppendUvarint(b, uint64(id-prev))
-		prev = id
-	}
-	return b
-}
-
-// trajAppendPairs writes an edge list sorted by (u, v) as a count plus
+// appendPairs writes an edge list sorted by (u, v) as a count plus
 // (du, dv) gaps; dv restarts from zero whenever u advances.
-func trajAppendPairs(b []byte, us, vs []int32) []byte {
+func appendPairs(b []byte, us, vs []int32) []byte {
 	b = binary.AppendUvarint(b, uint64(len(us)))
 	prevU, prevV := int32(0), int32(0)
 	for i := range us {
@@ -879,117 +558,37 @@ func trajAppendPairs(b []byte, us, vs []int32) []byte {
 	return b
 }
 
-func (d *trajDecoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.t.data[d.pos:])
-	if n <= 0 {
-		return 0, trajCorrupt("truncated varint at byte %d", d.pos)
-	}
-	d.pos += n
-	return v, nil
-}
-
-func (d *trajDecoder) byte() (byte, error) {
-	if d.pos >= len(d.t.data) {
-		return 0, trajCorrupt("truncated record at byte %d", d.pos)
-	}
-	b := d.t.data[d.pos]
-	d.pos++
-	return b, nil
-}
-
-func (d *trajDecoder) u64() (uint64, error) {
-	if d.pos+8 > len(d.t.data) {
-		return 0, trajCorrupt("truncated float at byte %d", d.pos)
-	}
-	v := binary.LittleEndian.Uint64(d.t.data[d.pos:])
-	d.pos += 8
-	return v, nil
-}
-
-func (d *trajDecoder) lane(l []trajLane, u int) (uint64, error) {
-	wire, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	bits := wire ^ trajPredict(l, u)
-	trajPush(l, u, bits)
-	return bits, nil
-}
-
-// ids decodes a strictly ascending id list with every id in [0, n).
-func (d *trajDecoder) ids(dst []int32, n int) ([]int32, error) {
-	count, err := d.uvarint()
-	if err != nil {
-		return dst, err
-	}
-	if count > uint64(n) {
-		return dst, trajCorrupt("id list of %d entries exceeds the %d nodes", count, n)
-	}
-	prev := int64(0)
-	for i := uint64(0); i < count; i++ {
-		delta, err := d.uvarint()
-		if err != nil {
-			return dst, err
-		}
-		if delta >= uint64(n) {
-			return dst, trajCorrupt("id delta %d exceeds the %d nodes at step %d", delta, n, d.rel)
-		}
-		id := prev + int64(delta)
-		if i > 0 && delta == 0 {
-			return dst, trajCorrupt("id list not strictly ascending at step %d", d.rel)
-		}
-		if id >= int64(n) {
-			return dst, trajCorrupt("id %d out of range [0,%d) at step %d", id, n, d.rel)
-		}
-		dst = append(dst, int32(id))
-		prev = id
-	}
-	return dst, nil
-}
-
-// pairs decodes an edge list sorted by (u, v), rejecting self-loops,
-// duplicates, and out-of-range endpoints.
-func (d *trajDecoder) pairs(us, vs []int32, n int) ([]int32, []int32, error) {
-	count, err := d.uvarint()
-	if err != nil {
-		return us, vs, err
-	}
-	if count > uint64(n)*uint64(n) {
-		return us, vs, trajCorrupt("edge list of %d entries exceeds n² at step %d", count, d.rel)
+// pairs decodes an edge list written by appendPairs, rejecting self-loops,
+// duplicates, descending order, and out-of-range endpoints.
+func (d *trajDecoder) pairs(us, vs []int32) ([]int32, []int32) {
+	c, n := &d.cur, int64(d.t.n)
+	count := c.Uvarint()
+	if count > uint64(c.Len()/2) { // each pair takes at least two bytes
+		c.Failf("edge list of %d entries overruns the payload", count)
+		return us, vs
 	}
 	prevU, prevV := int64(0), int64(0)
-	first := true
-	for i := uint64(0); i < count; i++ {
-		du, err := d.uvarint()
-		if err != nil {
-			return us, vs, err
-		}
-		dv, err := d.uvarint()
-		if err != nil {
-			return us, vs, err
-		}
+	for i := uint64(0); i < count && c.Err() == nil; i++ {
+		du, dv := c.Uvarint(), c.Uvarint()
 		if du >= uint64(n) || dv >= uint64(n) {
-			return us, vs, trajCorrupt("edge delta (%d,%d) exceeds the %d nodes at step %d", du, dv, n, d.rel)
+			c.Failf("edge gap (%d,%d) exceeds the %d nodes", du, dv, n)
+			break
 		}
-		u := prevU + int64(du)
 		if du > 0 {
 			prevV = 0
-		} else if !first && dv == 0 {
-			return us, vs, trajCorrupt("edge list not strictly ascending at step %d", d.rel)
+		} else if i > 0 && dv == 0 {
+			c.Failf("edge list not strictly ascending")
+			break
 		}
-		v := prevV + int64(dv)
-		if u >= int64(n) || v >= int64(n) {
-			return us, vs, trajCorrupt("edge %d→%d out of range [0,%d) at step %d", u, v, n, d.rel)
+		u, v := prevU+int64(du), prevV+int64(dv)
+		if u >= n || v >= n || u == v {
+			c.Failf("edge %d→%d is a self-loop or out of range [0,%d)", u, v, n)
+			break
 		}
-		if u == v {
-			return us, vs, trajCorrupt("self-loop %d→%d at step %d", u, v, d.rel)
-		}
-		us = append(us, int32(u))
-		vs = append(vs, int32(v))
+		us, vs = append(us, int32(u)), append(vs, int32(v))
 		prevU, prevV = u, v
-		first = false
 	}
-	return us, vs, nil
+	return us, vs
 }
 
 // ---------------------------------------------------------------------------
@@ -1041,35 +640,33 @@ func UnmarshalTrajectory(b []byte) (*Trajectory, error) {
 	if string(body[:len(trajMagic)]) != trajMagic {
 		return nil, trajCorrupt("bad magic %q", body[:len(trajMagic)])
 	}
-	r := trajFields{b: body, pos: len(trajMagic)}
-	version := r.uvarint()
-	if version > trajVersion {
-		return nil, trajCorrupt("version %d is newer than the supported %d", version, trajVersion)
+	r := trace.NewCursor(body[len(trajMagic):], ErrTrajectoryCorrupt)
+	if version := r.Uvarint(); version != trajVersion && r.Err() == nil {
+		return nil, trajCorrupt("format version %d is not the supported %d", version, trajVersion)
 	}
 	t := &Trajectory{}
-	t.n = int(r.uvarint())
-	t.steps = int(r.uvarint())
-	t.every = int(r.uvarint())
-	t.dynamic = r.byte() == 1
-	t.start = r.bytes(int(r.uvarint()))
-	anchors := int(r.uvarint())
-	if r.err == nil && anchors >= 0 && anchors <= t.steps {
-		for i := 0; i < anchors && r.err == nil; i++ {
-			step := int(r.uvarint())
-			t.anchors = append(t.anchors, TrajAnchor{Step: step, Snap: r.bytes(int(r.uvarint()))})
+	t.n = int(r.Uvarint())
+	t.steps = int(r.Uvarint())
+	t.every = int(r.Uvarint())
+	t.dynamic = r.Byte() == 1
+	t.start = r.Take(int(r.Uvarint()))
+	if anchors := r.Uvarint(); anchors > uint64(max(t.steps, 0)) {
+		r.Failf("anchor count %d exceeds the %d-step horizon", anchors, t.steps)
+	} else {
+		for i := 0; i < int(anchors) && r.Err() == nil; i++ {
+			step := int(r.Uvarint())
+			t.anchors = append(t.anchors, TrajAnchor{Step: step, Snap: r.Take(int(r.Uvarint()))})
 		}
-	} else if r.err == nil {
-		return nil, trajCorrupt("anchor count %d exceeds the %d-step horizon", anchors, t.steps)
 	}
-	t.records = int(r.uvarint())
-	t.data = r.bytes(int(r.uvarint()))
-	t.hash = r.u64()
-	if r.err != nil {
-		return nil, r.err
+	t.records = int(r.Uvarint())
+	t.data = r.Take(int(r.Uvarint()))
+	t.hash = r.U64()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("network: trajectory header: %w", err)
 	}
-	if r.pos != len(body) {
+	if r.Len() != 0 {
 		// t.hash is the final header field; anything left over is junk.
-		return nil, trajCorrupt("%d trailing bytes before the checksum", len(body)-r.pos)
+		return nil, trajCorrupt("%d trailing bytes before the checksum", r.Len())
 	}
 	if t.records < 0 || t.records > t.steps {
 		return nil, trajCorrupt("record count %d outside [0,%d]", t.records, t.steps)
@@ -1102,64 +699,4 @@ func LoadTrajectory(path string) (*Trajectory, error) {
 		return nil, err
 	}
 	return UnmarshalTrajectory(b)
-}
-
-// trajFields is a forgiving little reader for the serialised header: it
-// latches the first error so field parsing reads naturally.
-type trajFields struct {
-	b   []byte
-	pos int
-	err error
-}
-
-func (r *trajFields) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.pos:])
-	if n <= 0 {
-		r.err = trajCorrupt("truncated header field at byte %d", r.pos)
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-func (r *trajFields) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.pos >= len(r.b) {
-		r.err = trajCorrupt("truncated header at byte %d", r.pos)
-		return 0
-	}
-	v := r.b[r.pos]
-	r.pos++
-	return v
-}
-
-func (r *trajFields) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.pos+8 > len(r.b) {
-		r.err = trajCorrupt("truncated header at byte %d", r.pos)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.pos:])
-	r.pos += 8
-	return v
-}
-
-func (r *trajFields) bytes(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.pos+n > len(r.b) {
-		r.err = trajCorrupt("truncated %d-byte section at byte %d", n, r.pos)
-		return nil
-	}
-	v := r.b[r.pos : r.pos+n : r.pos+n]
-	r.pos += n
-	return v
 }

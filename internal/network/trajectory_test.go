@@ -2,17 +2,19 @@ package network
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/faults"
 	"repro/internal/metrics"
-	"repro/internal/trace"
 )
 
 // sameWorldState compares every observable the harnesses read: topology,
@@ -318,6 +320,30 @@ func TestTrajectoryCorruptionRejected(t *testing.T) {
 	}
 }
 
+// TestTrajectoryOldVersionRejected: an intact file whose version field
+// says 1 — the layout before records carried the trace world-delta body —
+// fails with an ErrTrajectoryCorrupt-wrapped version error.
+func TestTrajectoryOldVersionRejected(t *testing.T) {
+	w := buildFaultWorld(t, 40, []NodeID{0}, 21)
+	traj, err := RecordTrajectory(w, 20, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := traj.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := append([]byte(nil), b[:len(b)-4]...)
+	if body[len(trajMagic)] != trajVersion {
+		t.Fatalf("version byte %d, want %d", body[len(trajMagic)], trajVersion)
+	}
+	body[len(trajMagic)] = 1
+	_, err = UnmarshalTrajectory(binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body)))
+	if !errors.Is(err, ErrTrajectoryCorrupt) || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("version-1 file: got %v, want an ErrTrajectoryCorrupt version error", err)
+	}
+}
+
 // TestTrajectorySourceRecordsOnce drives one TrajectorySource from many
 // goroutines (the -race CI gates catch unsynchronised recording) and checks
 // the build function ran exactly once while every world replays the same
@@ -401,74 +427,4 @@ func FuzzTrajectoryDecode(f *testing.F) {
 			t.Fatalf("negative edge count %d after replay", m)
 		}
 	})
-}
-
-// collectSink records anchors and deltas for the StepRecorder tests.
-type collectSink struct {
-	anchorSteps []int
-	anchors     [][]byte
-	deltas      []trace.WorldDelta
-}
-
-func (s *collectSink) Emit(trace.Event) {}
-func (s *collectSink) EmitAnchor(step int, snap []byte) {
-	s.anchorSteps = append(s.anchorSteps, step)
-	s.anchors = append(s.anchors, append([]byte(nil), snap...))
-}
-func (s *collectSink) EmitWorld(d trace.WorldDelta) {
-	c := d
-	c.Nodes = append([]int32(nil), d.Nodes...)
-	c.X = append([]float64(nil), d.X...)
-	c.Y = append([]float64(nil), d.Y...)
-	c.RangeNodes = append([]int32(nil), d.RangeNodes...)
-	c.Ranges = append([]float64(nil), d.Ranges...)
-	c.Dead = append([]int32(nil), d.Dead...)
-	c.DownGateways = append([]int32(nil), d.DownGateways...)
-	s.deltas = append(s.deltas, c)
-}
-
-// TestStepRecorderAnchorEveryOne pins the densest anchor cadence: with
-// AnchorEvery=1 the recorder must anchor before every harness step, each
-// anchor must equal the world's snapshot at that instant, and every
-// non-empty world step must still emit exactly one delta labeled step+1.
-func TestStepRecorderAnchorEveryOne(t *testing.T) {
-	const steps = 25
-	w := buildFaultWorld(t, 50, []NodeID{0}, 19)
-	sink := &collectSink{}
-	rec := NewStepRecorder(w, sink, 1)
-	if rec == nil {
-		t.Fatal("recorder is nil for a non-nil sink")
-	}
-	want := make(map[int][]byte)
-	for step := 0; step < steps; step++ {
-		b, err := json.Marshal(w.Snapshot())
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[step] = b
-		rec.BeforeStep(step)
-		w.Step()
-		rec.AfterWorldStep()
-	}
-	if len(sink.anchorSteps) != steps {
-		t.Fatalf("got %d anchors, want one per step (%d)", len(sink.anchorSteps), steps)
-	}
-	for i, step := range sink.anchorSteps {
-		if step != i {
-			t.Fatalf("anchor %d labeled step %d", i, step)
-		}
-		if !bytes.Equal(sink.anchors[i], want[step]) {
-			t.Fatalf("anchor at step %d does not match the world snapshot", step)
-		}
-	}
-	// A dynamic world moves every step here, so the deltas must cover steps
-	// 1..steps in order.
-	if len(sink.deltas) != steps {
-		t.Fatalf("got %d deltas, want %d", len(sink.deltas), steps)
-	}
-	for i, d := range sink.deltas {
-		if d.Step != i+1 {
-			t.Fatalf("delta %d labeled step %d, want %d", i, d.Step, i+1)
-		}
-	}
 }

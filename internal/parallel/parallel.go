@@ -21,6 +21,7 @@
 package parallel
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -253,4 +254,38 @@ func (p *Pool) Run(n int, fn func(i int) error) error {
 		}
 	}
 	return nil
+}
+
+// Replicate is the replication executor behind mapping.RunMany and
+// routing.RunMany: it runs run(worldFor(r), r) for every r in [0, runs) on
+// a pool of up to workers goroutines and returns the results in run order,
+// so a reduction over them is bit-identical at any worker count. Parallel
+// runs mutate their worlds, so with more than one worker Replicate fails
+// when worldFor hands the same world to two runs instead of racing on it.
+func Replicate[W comparable, R any](workers, runs int, worldFor func(run int) (W, error), run func(w W, r int) (R, error)) ([]R, error) {
+	pool := NewPool(workers)
+	results := make([]R, runs)
+	var mu sync.Mutex
+	seen := make(map[W]int)
+	err := pool.Run(runs, func(r int) error {
+		w, err := worldFor(r)
+		if err != nil {
+			return err
+		}
+		if pool.Parallel() {
+			mu.Lock()
+			prev, dup := seen[w]
+			seen[w] = r
+			mu.Unlock()
+			if dup {
+				return fmt.Errorf("parallel replication needs a fresh world per run: worldFor returned the same world for runs %d and %d", prev, r)
+			}
+		}
+		results[r], err = run(w, r)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
 }

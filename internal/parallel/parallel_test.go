@@ -246,3 +246,35 @@ func TestGroupResultIndependentOfWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestReplicateOrderAndSharedWorld: results come back in run order at any
+// worker count, and a parallel batch refuses a world handed to two runs
+// while a sequential one accepts it.
+func TestReplicateOrderAndSharedWorld(t *testing.T) {
+	withBudget(t, 3, func() {
+		for _, workers := range []int{1, 4} {
+			worlds := make([]*int, 6)
+			for i := range worlds {
+				worlds[i] = new(int)
+			}
+			got, err := Replicate(workers, len(worlds),
+				func(r int) (*int, error) { return worlds[r], nil },
+				func(w *int, r int) (int, error) { return r * r, nil })
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			for r, v := range got {
+				if v != r*r {
+					t.Fatalf("workers=%d: result %d = %d, want %d", workers, r, v, r*r)
+				}
+			}
+			shared := new(int)
+			_, err = Replicate(workers, 3,
+				func(int) (*int, error) { return shared, nil },
+				func(*int, int) (int, error) { return 0, nil })
+			if (workers > 1) != (err != nil) {
+				t.Fatalf("workers=%d with one shared world: err = %v", workers, err)
+			}
+		}
+	})
+}

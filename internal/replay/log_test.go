@@ -2,11 +2,14 @@ package replay_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/faults"
 	"repro/internal/netgen"
+	"repro/internal/network"
 	"repro/internal/replay"
 	"repro/internal/routing"
 	"repro/internal/stats"
@@ -182,6 +185,128 @@ func TestLogRoundTripFaultedRuns(t *testing.T) {
 			}
 			compareRecovery(t, "end-to-end", gotE2E, res.RecoveryEndToEnd)
 		})
+	}
+}
+
+// TestLogAndTrajectoryAgree pins the two containers of the world-delta
+// codec against each other: one Routing250 churn run recorded by the
+// routing harness into a binary log, and an identical world recorded with
+// RecordTrajectory and replayed, must yield the same world at every step —
+// the log's ReconstructAt against the replay world's snapshot — and the
+// trajectory's stored anchors must equal the log's anchors byte for byte.
+func TestLogAndTrajectoryAgree(t *testing.T) {
+	meta := replay.RunMeta{
+		Scenario:    "routing",
+		Spec:        netgen.Routing250(),
+		WorldSeed:   2,
+		Seed:        5,
+		Steps:       150,
+		FaultPreset: "churn",
+		AnchorEvery: 50,
+	}
+	data, _ := recordRun(t, meta)
+	lr, _ := openLog(t, data)
+	logAnchors := make(map[int]string)
+	err := lr.Scan(func(r trace.Record) error {
+		if r.Kind == trace.RecordAnchor {
+			logAnchors[r.Step] = string(r.Anchor)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	w, err := meta.FreshWorld()
+	if err != nil {
+		t.Fatal(err)
+	}
+	traj, err := network.RecordTrajectory(w, meta.Steps, meta.AnchorEvery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The harness anchors before each step it runs, so the log has no
+	// anchor at the final step; every other trajectory anchor has a twin.
+	shared := 0
+	for _, a := range traj.Anchors() {
+		if snap, ok := logAnchors[a.Step]; ok {
+			shared++
+			if snap != string(a.Snap) {
+				t.Fatalf("trajectory anchor at step %d differs from the log's", a.Step)
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("trajectory and log share no anchor step")
+	}
+	rep, err := traj.World()
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulted := 0
+	for step := 0; step <= meta.Steps; step++ {
+		if step > 0 {
+			rep.Step()
+		}
+		fromLog, err := replay.ReconstructAt(lr, step)
+		if err != nil {
+			t.Fatalf("ReconstructAt(%d): %v", step, err)
+		}
+		a, _ := json.Marshal(fromLog)
+		b, _ := json.Marshal(rep.Snapshot())
+		if string(a) != string(b) {
+			t.Fatalf("step %d: log reconstruction and trajectory replay disagree", step)
+		}
+		if len(fromLog.Dead) > 0 {
+			faulted++
+		}
+	}
+	if faulted == 0 {
+		t.Fatal("churn preset killed no node: the fault path went untested")
+	}
+}
+
+// TestReconstructRejectsOutOfRangeDelta: a log whose world delta names
+// node n of an n-node world is corrupt, and reconstruction and
+// verification say so instead of skipping the entry.
+func TestReconstructRejectsOutOfRangeDelta(t *testing.T) {
+	meta := replay.RunMeta{Scenario: "routing", Spec: testSpec(), WorldSeed: 1, Seed: 1, Steps: 1, AnchorEvery: 1}
+	w, err := meta.FreshWorld()
+	if err != nil {
+		t.Fatal(err)
+	}
+	anchor, err := json.Marshal(w.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := replay.NewLogHeader(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logWithNode := func(u int32) []byte {
+		var buf bytes.Buffer
+		lw, err := trace.NewLogWriter(&buf, hdr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lw.EmitAnchor(0, anchor)
+		lw.EmitWorld(trace.WorldDelta{Step: 1, Nodes: []int32{u}, X: []float64{1}, Y: []float64{2}})
+		if err := lw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	n := int32(w.N())
+	lr, _ := openLog(t, logWithNode(n-1))
+	if _, err := replay.ReconstructAt(lr, 1); err != nil {
+		t.Fatalf("delta naming node n-1: %v", err)
+	}
+	lr, gotMeta := openLog(t, logWithNode(n))
+	if _, err := replay.ReconstructAt(lr, 1); !errors.Is(err, trace.ErrCorrupt) {
+		t.Fatalf("ReconstructAt with a delta naming node n: got %v, want ErrCorrupt", err)
+	}
+	if _, err := replay.VerifyLog(lr, gotMeta); !errors.Is(err, trace.ErrCorrupt) {
+		t.Fatalf("VerifyLog with a delta naming node n: got %v, want ErrCorrupt", err)
 	}
 }
 

@@ -1073,29 +1073,8 @@ func RunMany(worldFor func(run int) (*network.World, error), sc Scenario, runs i
 	if sc.Tracer != nil || sc.Observer != nil {
 		workers = 1
 	}
-	pool := parallel.NewPool(workers)
-	results := make([]Result, runs)
-	// Static worlds tempt callers into returning one shared *World from
-	// worldFor; Run still mutates it (step counter, metrics hook,
-	// connectivity scratch), so that is a data race under run-level
-	// parallelism. Catch it loudly rather than corrupting results.
-	var guard worldGuard
-	err := pool.Run(runs, func(r int) error {
-		w, err := worldFor(r)
-		if err != nil {
-			return err
-		}
-		if pool.Parallel() {
-			if err := guard.claim(w, r); err != nil {
-				return err
-			}
-		}
-		res, err := Run(w, sc, rng.DeriveSeed(baseSeed, uint64(r)))
-		if err != nil {
-			return err
-		}
-		results[r] = res
-		return nil
+	results, err := parallel.Replicate(workers, runs, worldFor, func(w *network.World, r int) (Result, error) {
+		return Run(w, sc, rng.DeriveSeed(baseSeed, uint64(r)))
 	})
 	if err != nil {
 		return Aggregate{}, err
@@ -1169,24 +1148,4 @@ func RunManyCached(build func() (*network.World, error), sc Scenario, runs int, 
 	d := sc.withDefaults()
 	src := network.NewTrajectorySource(d.Steps, d.AnchorEvery, d.Faults, build)
 	return RunMany(src.WorldFor, sc, runs, baseSeed)
-}
-
-// worldGuard detects worldFor implementations that hand the same *World
-// to two concurrent runs.
-type worldGuard struct {
-	mu   sync.Mutex
-	seen map[*network.World]int
-}
-
-func (g *worldGuard) claim(w *network.World, run int) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.seen == nil {
-		g.seen = make(map[*network.World]int)
-	}
-	if prev, dup := g.seen[w]; dup {
-		return fmt.Errorf("parallel replication needs a fresh world per run: worldFor returned the same *World for runs %d and %d", prev, run)
-	}
-	g.seen[w] = run
-	return nil
 }

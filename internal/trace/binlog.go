@@ -23,11 +23,15 @@
 //
 // Event records use varint-delta steps, a one-byte kind code, a field
 // presence mask, and per-block string interning for Extra labels, so blocks
-// are self-contained and decodable from any offset. World-delta records
-// carry changed positions and radio ranges as XOR-against-previous float64
-// bits (columnar, so the shared high bytes compress well); the XOR chain
-// resets at every snapshot anchor, which keeps anchor-rooted tails
-// self-contained — exactly the access path offline replay uses.
+// are self-contained and decodable from any offset. Every record starts
+// with a tag byte (event or world delta) and the zigzag step delta. A
+// world-delta record's body is the shared world-delta codec's (codec.go):
+// changed positions and radio ranges as predictor-XORed float64 bits
+// (columnar, so the shared high bytes compress well) plus the fault
+// transition. The Trajectory container in the network package carries the
+// same body. The predictor chain resets at every snapshot anchor, which
+// keeps anchor-rooted tails self-contained — exactly the access path
+// offline replay uses.
 package trace
 
 import (
@@ -130,80 +134,6 @@ const (
 	maskExtra
 )
 
-// laneState is one node's predictor context in a world-delta float lane:
-// the bit patterns of its last two values and how many the chain has seen.
-type laneState struct {
-	v1, v2 uint64 // most recent, second most recent
-	seen   uint8  // saturates at 2
-}
-
-// xorState holds the per-node float predictors for the position and range
-// streams. Samples are XORed against a linear extrapolation from the two
-// previous values (2*v1 - v2): mobility is piecewise constant-velocity and
-// battery drain is linear, so the prediction is exact up to FP rounding
-// and the residual has only a handful of low bits set — which the uvarint
-// wire encoding then stores in 1-3 bytes instead of 8. The chain resets at
-// every snapshot anchor, so a reader starting at any anchor reconstructs
-// the same values the writer saw.
-type xorState struct {
-	x, y, r []laneState
-}
-
-func (s *xorState) reset() {
-	for i := range s.x {
-		s.x[i] = laneState{}
-	}
-	for i := range s.y {
-		s.y[i] = laneState{}
-	}
-	for i := range s.r {
-		s.r[i] = laneState{}
-	}
-}
-
-func grow(s []laneState, n int) []laneState {
-	if n <= len(s) {
-		return s
-	}
-	return append(s, make([]laneState, n-len(s))...)
-}
-
-// predictLane returns the predicted bit pattern for node u's next value:
-// 0 (absolute encoding) before any sample, the previous value after one,
-// and the linear extrapolation 2*v1 - v2 from then on. Both 2*v1 and the
-// subtraction are single correctly-rounded IEEE ops, so encoder and
-// decoder compute bit-identical predictions on any platform.
-func predictLane(lane *[]laneState, u int) uint64 {
-	*lane = grow(*lane, u+1)
-	st := (*lane)[u]
-	switch st.seen {
-	case 0:
-		return 0
-	case 1:
-		return st.v1
-	default:
-		return math.Float64bits(2*math.Float64frombits(st.v1) - math.Float64frombits(st.v2))
-	}
-}
-
-// pushLane records bits as node u's newest value. The lane is already
-// grown by the predictLane call that precedes every push.
-func pushLane(lane []laneState, u int, bits uint64) {
-	st := &lane[u]
-	st.v2, st.v1 = st.v1, bits
-	if st.seen < 2 {
-		st.seen++
-	}
-}
-
-// xorLane runs one encode step of the predictor chain: the wire residual
-// for bits at node u. unxorLane is its decode mirror.
-func xorLane(lane *[]laneState, u int, bits uint64) uint64 {
-	out := bits ^ predictLane(lane, u)
-	pushLane(*lane, u, bits)
-	return out
-}
-
 // LogWriter streams events, world deltas, and snapshot anchors into the
 // compact binary format. It implements Tracer and WorldSink. Like the JSONL
 // Writer it is error-latched: the first write error turns every subsequent
@@ -223,7 +153,7 @@ type LogWriter struct {
 	prevStep int
 	strings  map[string]int
 
-	xs xorState
+	codec DeltaCodec
 
 	index  []BlockInfo
 	events int
@@ -380,30 +310,7 @@ func (lw *LogWriter) EmitWorld(d WorldDelta) {
 		return
 	}
 	lw.beginRecord(recDelta, d.Step)
-	lw.raw = appendIDs(lw.raw, d.Nodes)
-	for i, u := range d.Nodes {
-		lw.raw = binary.AppendUvarint(lw.raw, xorLane(&lw.xs.x, int(u), math.Float64bits(d.X[i])))
-	}
-	for i, u := range d.Nodes {
-		lw.raw = binary.AppendUvarint(lw.raw, xorLane(&lw.xs.y, int(u), math.Float64bits(d.Y[i])))
-	}
-	lw.raw = appendIDs(lw.raw, d.RangeNodes)
-	for i, u := range d.RangeNodes {
-		lw.raw = binary.AppendUvarint(lw.raw, xorLane(&lw.xs.r, int(u), math.Float64bits(d.Ranges[i])))
-	}
-	if d.FaultChanged {
-		lw.raw = append(lw.raw, 1)
-		lw.raw = appendIDs(lw.raw, d.Dead)
-		lw.raw = appendIDs(lw.raw, d.DownGateways)
-		if d.Partition {
-			lw.raw = append(lw.raw, 1)
-			lw.raw = binary.LittleEndian.AppendUint64(lw.raw, math.Float64bits(d.PartitionX))
-		} else {
-			lw.raw = append(lw.raw, 0)
-		}
-	} else {
-		lw.raw = append(lw.raw, 0)
-	}
+	lw.raw = lw.codec.Append(lw.raw, &d)
 	lw.maybeFlushLocked()
 }
 
@@ -418,7 +325,7 @@ func (lw *LogWriter) EmitAnchor(step int, snapshot []byte) {
 		return
 	}
 	lw.flushLocked()
-	lw.xs.reset()
+	lw.codec.Reset()
 	lw.writeBlockLocked(blockAnchor, step, step, 1, snapshot)
 }
 
@@ -556,90 +463,4 @@ func (l *FileLog) Close() error {
 
 func appendZigzag(b []byte, v int64) []byte {
 	return binary.AppendUvarint(b, uint64((v<<1)^(v>>63)))
-}
-
-// appendIDs encodes an ascending id list as a count plus first-value-then-
-// gap deltas.
-func appendIDs(b []byte, ids []int32) []byte {
-	b = binary.AppendUvarint(b, uint64(len(ids)))
-	prev := int32(0)
-	for _, id := range ids {
-		b = binary.AppendUvarint(b, uint64(id-prev))
-		prev = id
-	}
-	return b
-}
-
-// byteCursor walks a decoded raw payload.
-type byteCursor struct {
-	b   []byte
-	pos int
-}
-
-func (c *byteCursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(c.b[c.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("trace: bad varint at payload offset %d: %w", c.pos, ErrCorrupt)
-	}
-	c.pos += n
-	return v, nil
-}
-
-func (c *byteCursor) zigzag() (int64, error) {
-	u, err := c.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	return int64(u>>1) ^ -int64(u&1), nil
-}
-
-func (c *byteCursor) byte() (byte, error) {
-	if c.pos >= len(c.b) {
-		return 0, fmt.Errorf("trace: truncated payload: %w", ErrCorrupt)
-	}
-	v := c.b[c.pos]
-	c.pos++
-	return v, nil
-}
-
-func (c *byteCursor) u64() (uint64, error) {
-	if c.pos+8 > len(c.b) {
-		return 0, fmt.Errorf("trace: truncated payload: %w", ErrCorrupt)
-	}
-	v := binary.LittleEndian.Uint64(c.b[c.pos:])
-	c.pos += 8
-	return v, nil
-}
-
-func (c *byteCursor) take(n int) ([]byte, error) {
-	if n < 0 || c.pos+n > len(c.b) {
-		return nil, fmt.Errorf("trace: truncated payload: %w", ErrCorrupt)
-	}
-	v := c.b[c.pos : c.pos+n]
-	c.pos += n
-	return v, nil
-}
-
-func (c *byteCursor) ids(dst []int32) ([]int32, error) {
-	n, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(c.b)-c.pos) { // each id needs >= 1 byte
-		return nil, fmt.Errorf("trace: id list longer than payload: %w", ErrCorrupt)
-	}
-	dst = dst[:0]
-	prev := int64(0)
-	for i := uint64(0); i < n; i++ {
-		d, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		prev += int64(d)
-		if prev > math.MaxInt32 {
-			return nil, fmt.Errorf("trace: id overflow: %w", ErrCorrupt)
-		}
-		dst = append(dst, int32(prev))
-	}
-	return dst, nil
 }

@@ -22,6 +22,11 @@ var ErrStop = errors.New("stop scan")
 // length field fails cleanly instead of attempting a huge allocation.
 const maxBlockLen = 1 << 28
 
+// maxLogNodes bounds the node IDs a world delta may name (worlds of up to
+// ~4M nodes), so a corrupt ID cannot grow the predictor lanes without
+// limit.
+const maxLogNodes = 1 << 22
+
 // RecordKind discriminates the records a scan yields.
 type RecordKind uint8
 
@@ -56,7 +61,7 @@ type LogReader struct {
 	comp    []byte
 	raw     []byte
 	strings []string
-	xs      xorState
+	codec   DeltaCodec
 	delta   WorldDelta
 
 	mBlocks metrics.Counter
@@ -338,7 +343,7 @@ func (lr *LogReader) ScanFrom(from int, fn func(Record) error) error {
 }
 
 func (lr *LogReader) scanBlocks(blocks []BlockInfo, fn func(Record) error) error {
-	lr.xs.reset()
+	lr.codec.Reset()
 	for _, b := range blocks {
 		fr, raw, err := lr.readBlockAt(b.Off)
 		if err != nil {
@@ -346,7 +351,7 @@ func (lr *LogReader) scanBlocks(blocks []BlockInfo, fn func(Record) error) error
 		}
 		switch fr.typ {
 		case blockAnchor:
-			lr.xs.reset()
+			lr.codec.Reset()
 			if err := fn(Record{Kind: RecordAnchor, Step: fr.first, Anchor: raw}); err != nil {
 				if errors.Is(err, ErrStop) {
 					return nil
@@ -367,203 +372,81 @@ func (lr *LogReader) scanBlocks(blocks []BlockInfo, fn func(Record) error) error
 
 // decodeEvents walks one events block's payload, yielding records.
 func (lr *LogReader) decodeEvents(fr *blockFrame, raw []byte, fn func(Record) error) error {
-	cur := &byteCursor{b: raw}
+	cur := NewCursor(raw, ErrCorrupt)
 	lr.strings = lr.strings[:0]
-	prevStep := fr.first
-	for cur.pos < len(cur.b) {
-		tag, err := cur.byte()
-		if err != nil {
-			return err
-		}
-		sd, err := cur.zigzag()
-		if err != nil {
-			return err
-		}
-		step := prevStep + int(sd)
-		prevStep = step
+	step := fr.first
+	for cur.Len() > 0 {
+		tag := cur.Byte()
+		step += int(cur.Zigzag())
+		var r Record
 		switch tag {
 		case recEvent:
-			e, err := lr.decodeEvent(cur, step)
-			if err != nil {
-				return err
-			}
-			if err := fn(Record{Kind: RecordEvent, Event: e}); err != nil {
-				return err
-			}
+			r = Record{Kind: RecordEvent, Event: lr.decodeEvent(&cur, step)}
 		case recDelta:
-			d, err := lr.decodeDelta(cur, step)
-			if err != nil {
-				return err
-			}
-			if err := fn(Record{Kind: RecordDelta, Delta: d}); err != nil {
-				return err
-			}
+			lr.delta.Step = step
+			lr.codec.Decode(&cur, &lr.delta, maxLogNodes)
+			r = Record{Kind: RecordDelta, Delta: lr.delta}
 		default:
-			return fmt.Errorf("trace: unknown record tag %d: %w", tag, ErrCorrupt)
+			cur.Failf("unknown record tag %d", tag)
+		}
+		if err := cur.Err(); err != nil {
+			return fmt.Errorf("trace: %w", err)
+		}
+		if err := fn(r); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-func (lr *LogReader) decodeEvent(cur *byteCursor, step int) (Event, error) {
+func (lr *LogReader) decodeEvent(cur *Cursor, step int) Event {
 	e := Event{Step: step}
-	code, err := cur.byte()
-	if err != nil {
-		return e, err
-	}
-	if code == 0 {
-		s, err := lr.readString(cur)
-		if err != nil {
-			return e, err
-		}
-		e.Kind = Kind(s)
-	} else if int(code) < len(codeToKind) {
+	switch code := cur.Byte(); {
+	case code == 0:
+		e.Kind = Kind(lr.readString(cur))
+	case int(code) < len(codeToKind):
 		e.Kind = codeToKind[code]
-	} else {
-		return e, fmt.Errorf("trace: unknown event kind code %d: %w", code, ErrCorrupt)
+	default:
+		cur.Failf("unknown event kind code %d", code)
 	}
-	mask, err := cur.byte()
-	if err != nil {
-		return e, err
-	}
+	mask := cur.Byte()
 	if mask&maskAgent != 0 {
-		v, err := cur.zigzag()
-		if err != nil {
-			return e, err
-		}
-		e.Agent = int32(v)
+		e.Agent = int32(cur.Zigzag())
 	}
 	if mask&maskNode != 0 {
-		v, err := cur.zigzag()
-		if err != nil {
-			return e, err
-		}
-		e.Node = int32(v)
+		e.Node = int32(cur.Zigzag())
 	}
 	if mask&maskTo != 0 {
-		v, err := cur.zigzag()
-		if err != nil {
-			return e, err
-		}
-		e.To = int32(v)
+		e.To = int32(cur.Zigzag())
 	}
 	if mask&maskValue != 0 {
-		bits, err := cur.u64()
-		if err != nil {
-			return e, err
-		}
-		e.Value = math.Float64frombits(bits)
+		e.Value = math.Float64frombits(cur.U64())
 	}
 	if mask&maskExtra != 0 {
-		s, err := lr.readString(cur)
-		if err != nil {
-			return e, err
-		}
-		e.Extra = s
+		e.Extra = lr.readString(cur)
 	}
-	return e, nil
+	return e
 }
 
 // readString resolves a block-local interned string id, absorbing an
 // inline definition when the id is new.
-func (lr *LogReader) readString(cur *byteCursor) (string, error) {
-	id, err := cur.uvarint()
-	if err != nil {
-		return "", err
+func (lr *LogReader) readString(cur *Cursor) string {
+	id := cur.Uvarint()
+	if cur.Err() != nil {
+		return ""
 	}
 	if id < uint64(len(lr.strings)) {
-		return lr.strings[id], nil
+		return lr.strings[id]
 	}
 	if id != uint64(len(lr.strings)) {
-		return "", fmt.Errorf("trace: string id %d skips table (len %d): %w", id, len(lr.strings), ErrCorrupt)
+		cur.Failf("string id %d skips table (len %d)", id, len(lr.strings))
+		return ""
 	}
-	n, err := cur.uvarint()
-	if err != nil {
-		return "", err
-	}
-	b, err := cur.take(int(n))
-	if err != nil {
-		return "", err
+	b := cur.Take(int(cur.Uvarint()))
+	if cur.Err() != nil {
+		return ""
 	}
 	s := string(b)
 	lr.strings = append(lr.strings, s)
-	return s, nil
-}
-
-// unxorLane reverses xorLane: the wire residual XOR the decoder's own
-// prediction yields the value, which then extends the chain.
-func unxorLane(lane *[]laneState, u int, wire uint64) uint64 {
-	v := wire ^ predictLane(lane, u)
-	pushLane(*lane, u, v)
-	return v
-}
-
-func (lr *LogReader) decodeDelta(cur *byteCursor, step int) (WorldDelta, error) {
-	d := &lr.delta
-	*d = WorldDelta{
-		Step:         step,
-		Nodes:        d.Nodes[:0],
-		X:            d.X[:0],
-		Y:            d.Y[:0],
-		RangeNodes:   d.RangeNodes[:0],
-		Ranges:       d.Ranges[:0],
-		Dead:         d.Dead[:0],
-		DownGateways: d.DownGateways[:0],
-	}
-	var err error
-	if d.Nodes, err = cur.ids(d.Nodes); err != nil {
-		return *d, err
-	}
-	for _, u := range d.Nodes {
-		wire, err := cur.uvarint()
-		if err != nil {
-			return *d, err
-		}
-		d.X = append(d.X, math.Float64frombits(unxorLane(&lr.xs.x, int(u), wire)))
-	}
-	for _, u := range d.Nodes {
-		wire, err := cur.uvarint()
-		if err != nil {
-			return *d, err
-		}
-		d.Y = append(d.Y, math.Float64frombits(unxorLane(&lr.xs.y, int(u), wire)))
-	}
-	if d.RangeNodes, err = cur.ids(d.RangeNodes); err != nil {
-		return *d, err
-	}
-	for _, u := range d.RangeNodes {
-		wire, err := cur.uvarint()
-		if err != nil {
-			return *d, err
-		}
-		d.Ranges = append(d.Ranges, math.Float64frombits(unxorLane(&lr.xs.r, int(u), wire)))
-	}
-	fc, err := cur.byte()
-	if err != nil {
-		return *d, err
-	}
-	if fc == 1 {
-		d.FaultChanged = true
-		if d.Dead, err = cur.ids(d.Dead); err != nil {
-			return *d, err
-		}
-		if d.DownGateways, err = cur.ids(d.DownGateways); err != nil {
-			return *d, err
-		}
-		p, err := cur.byte()
-		if err != nil {
-			return *d, err
-		}
-		if p == 1 {
-			d.Partition = true
-			bits, err := cur.u64()
-			if err != nil {
-				return *d, err
-			}
-			d.PartitionX = math.Float64frombits(bits)
-		}
-	} else if fc != 0 {
-		return *d, fmt.Errorf("trace: bad fault-changed flag %d: %w", fc, ErrCorrupt)
-	}
-	return *d, nil
+	return s
 }

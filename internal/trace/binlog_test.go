@@ -246,6 +246,20 @@ func TestBinlogCorruption(t *testing.T) {
 		}
 	})
 
+	t.Run("delta-ids", func(t *testing.T) {
+		// ID lists must be strictly ascending: a repeated or descending
+		// node ID is rejected, not silently applied.
+		for name, ids := range map[string][]int32{"duplicate": {2, 2}, "descending": {3, 1}} {
+			bad := writeLog(t, Header{}, func(lw *LogWriter) {
+				lw.EmitAnchor(0, []byte(`{"version":2}`))
+				lw.EmitWorld(WorldDelta{Step: 1, Nodes: ids, X: []float64{1, 2}, Y: []float64{3, 4}})
+			})
+			if err := scan(bad); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s delta IDs %v: got %v, want ErrCorrupt", name, ids, err)
+			}
+		}
+	})
+
 	t.Run("bad-magic", func(t *testing.T) {
 		mut := append([]byte(nil), data...)
 		mut[0] = 'X'

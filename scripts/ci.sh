@@ -104,6 +104,13 @@ echo "== trajectory replay gate (cached-stepping equivalence + decode fuzz seeds
 go test -race -count=1 -run 'Trajectory|StepRecorder|RunManyCached|ReconstructAt' \
   ./internal/network ./internal/mapping ./internal/routing ./internal/replay
 
+echo "== world-delta decoder fuzzing (20 s each)"
+# Both containers of the shared world-delta codec — the binary log and the
+# serialised trajectory — get real fuzzing time on top of the seed-corpus
+# runs above, which stay.
+go test -run '^$' -fuzz '^FuzzLogReader$' -fuzztime 20s ./internal/trace
+go test -run '^$' -fuzz '^FuzzTrajectoryDecode$' -fuzztime 20s ./internal/network
+
 echo "== incremental-measurement equivalence gate (-race)"
 # The churn-proportional measurement meter must report bit-identical
 # numbers to the full scratch recompute at every step — across fault
