@@ -1,6 +1,11 @@
 package knowledge
 
-import "testing"
+import (
+	"slices"
+	"testing"
+
+	"repro/internal/rng"
+)
 
 // FuzzTrailOps drives a Trail with an arbitrary operation tape and checks
 // its structural invariants after every operation.
@@ -65,6 +70,90 @@ func FuzzVisitsOps(f *testing.F) {
 			// Anything remembered must match the true latest step.
 			if got, ok := v.Last(node); !ok || got != highest[node] {
 				t.Fatalf("step %d: Last(%d) = %d,%v want %d", step, node, got, ok, highest[node])
+			}
+		}
+	})
+}
+
+// FuzzVisitsMergeEquivalence drives 2–6 dense visit memories and their
+// hash-map referees through one tape of Record and MergeAll ops, with
+// mixed capacities and node IDs up to 600, and requires identical Len,
+// Last for every ID, and per-member changed counts after every op.
+//
+// The tape's first byte picks the member count and the next ones their
+// capacities (0, 1, 3 or 200). Each following 4-byte op (op, a, b, c)
+// merges the members selected by bitmask a when op%8 == 7, and otherwise
+// records node (a<<8|b)%601 at step c%32 into member (op>>3)%k; the small
+// step range makes eviction and truncation ties common. Ops past the
+// 512th are ignored.
+func FuzzVisitsMergeEquivalence(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 5, 1, 9, 0, 5, 1, 9, 1, 2, 7, 3, 0, 0})
+	f.Add([]byte{4, 0, 1, 2, 3, 0, 0, 1, 2, 1, 2, 3, 0xff, 7, 0xff, 0, 0})
+	s := rng.New(13)
+	long := []byte{3, 0, 3, 2, 1, 0}
+	for i := 0; i < 500; i++ {
+		op, a := byte(s.Intn(256))&^7, byte(s.Intn(3))
+		if i%25 == 24 {
+			op, a = 7, byte(s.Intn(256))
+		}
+		long = append(long, op, a, byte(s.Intn(256)), byte(s.Intn(256)))
+	}
+	f.Add(long)
+	capacities := [...]int{0, 1, 3, 200}
+	f.Fuzz(func(t *testing.T, tape []byte) {
+		if len(tape) == 0 {
+			return
+		}
+		k := 2 + int(tape[0])%5
+		dense := make([]*Visits, k)
+		ref := make([]*refVisits, k)
+		for i := range dense {
+			c := 0
+			if 1+i < len(tape) {
+				c = capacities[tape[1+i]%4]
+			}
+			dense[i], ref[i] = NewVisits(c), newRefVisits(c)
+		}
+		// Every op is checked against all members and IDs, so bound the
+		// tape to keep each execution short.
+		tape = tape[min(1+k, len(tape)):]
+		tape = tape[:min(len(tape), 4*512)]
+		var ds MergeScratch
+		var rs refMergeScratch
+		var dsub []*Visits
+		var rsub []*refVisits
+		maxID := NodeID(0)
+		for i := 0; i+4 <= len(tape); i += 4 {
+			op, a, b, c := tape[i], tape[i+1], tape[i+2], tape[i+3]
+			if op%8 == 7 {
+				dsub, rsub = dsub[:0], rsub[:0]
+				for j := 0; j < k; j++ {
+					if a&(1<<j) != 0 {
+						dsub, rsub = append(dsub, dense[j]), append(rsub, ref[j])
+					}
+				}
+				got, want := ds.MergeAll(dsub), rs.MergeAll(rsub)
+				if !slices.Equal(got, want) {
+					t.Fatalf("op %d: MergeAll changed %v, referee %v", i/4, got, want)
+				}
+			} else {
+				m := int(op>>3) % k
+				u := NodeID((int(a)<<8 | int(b)) % 601)
+				maxID = max(maxID, u)
+				dense[m].Record(u, int(c)%32)
+				ref[m].Record(u, int(c)%32)
+			}
+			for j := range dense {
+				if dense[j].Len() != ref[j].Len() {
+					t.Fatalf("op %d: member %d Len %d, referee %d", i/4, j, dense[j].Len(), ref[j].Len())
+				}
+				for u := NodeID(0); u <= maxID+1; u++ {
+					gs, gok := dense[j].Last(u)
+					ws, wok := ref[j].Last(u)
+					if gs != ws || gok != wok {
+						t.Fatalf("op %d: member %d Last(%d) = %d,%v, referee %d,%v", i/4, j, u, gs, gok, ws, wok)
+					}
+				}
 			}
 		}
 	})

@@ -229,9 +229,8 @@ func TestVisitsMerge(t *testing.T) {
 	a.Record(2, 5)
 	b.Record(2, 8)
 	b.Record(3, 1)
-	changed := a.MergeFrom(b)
-	if changed != 2 {
-		t.Fatalf("changed = %d, want 2", changed)
+	if changed := MergeAll([]*Visits{a, b}); changed[0] != 2 {
+		t.Fatalf("changed = %d, want 2", changed[0])
 	}
 	if s, _ := a.Last(2); s != 8 {
 		t.Fatalf("merge should take max: %d", s)
@@ -242,12 +241,18 @@ func TestVisitsMerge(t *testing.T) {
 	if _, ok := a.Last(3); !ok {
 		t.Fatal("merge dropped new entry")
 	}
-	// Merging into a bounded memory respects the bound.
+	// Merging into a bounded memory respects the bound, keeping the
+	// freshest records.
 	c := NewVisits(2)
 	c.Record(9, 100)
-	c.MergeFrom(a)
+	MergeAll([]*Visits{c, a})
 	if c.Len() > 2 {
 		t.Fatalf("bounded merge overflowed: %d", c.Len())
+	}
+	for _, u := range []NodeID{9, 1} {
+		if _, ok := c.Last(u); !ok {
+			t.Fatalf("bounded merge dropped fresh record %d", u)
+		}
 	}
 }
 
@@ -263,8 +268,9 @@ func TestVisitsMergeIdempotent(t *testing.T) {
 				b.Record(NodeID(s.Intn(10)), s.Intn(100))
 			}
 		}
-		a.MergeFrom(b)
-		return a.MergeFrom(b) == 0
+		MergeAll([]*Visits{a, b})
+		changed := MergeAll([]*Visits{a, b})
+		return changed[0] == 0 && changed[1] == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

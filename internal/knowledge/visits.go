@@ -1,8 +1,8 @@
 package knowledge
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 )
 
 // Visits is an agent's bounded memory of when it last visited each node.
@@ -13,87 +13,16 @@ import (
 // Capacity 0 means unbounded. When bounded and full, the entry with the
 // oldest step is evicted — forgetting the most distant visit first, which
 // is what a fixed-size ring of visit records would do.
+//
+// The memory is a sparse set: recs holds the remembered (node, step)
+// records contiguously, in no particular order, and pos is a dense
+// per-node index into it (0 = absent, else position+1) that grows to the
+// largest node ID recorded. Last is one index load, and an eviction
+// scans at most Len contiguous records.
 type Visits struct {
 	capacity int
-	last     map[NodeID]int
-}
-
-// NewVisits returns a visit memory holding at most capacity entries
-// (0 = unbounded).
-func NewVisits(capacity int) *Visits {
-	return &Visits{capacity: capacity, last: make(map[NodeID]int)}
-}
-
-// Len returns the number of remembered nodes.
-func (v *Visits) Len() int { return len(v.last) }
-
-// Capacity returns the configured bound (0 = unbounded).
-func (v *Visits) Capacity() int { return v.capacity }
-
-// Record notes that the agent stood on node u at the given step.
-func (v *Visits) Record(u NodeID, step int) {
-	if _, ok := v.last[u]; !ok && v.capacity > 0 && len(v.last) >= v.capacity {
-		v.evictOldest()
-	}
-	if prev, ok := v.last[u]; !ok || step > prev {
-		v.last[u] = step
-	}
-}
-
-// Last returns when u was last visited. ok is false if the agent never
-// visited u or has forgotten the visit.
-func (v *Visits) Last(u NodeID) (step int, ok bool) {
-	step, ok = v.last[u]
-	return step, ok
-}
-
-// evictOldest removes the entry with the smallest step, breaking ties by
-// smallest node ID so the choice is deterministic regardless of map
-// iteration order.
-func (v *Visits) evictOldest() {
-	first := true
-	var victim NodeID
-	victimStep := 0
-	for u, s := range v.last {
-		if first || s < victimStep || (s == victimStep && u < victim) {
-			victim, victimStep, first = u, s, false
-		}
-	}
-	if !first {
-		delete(v.last, victim)
-	}
-}
-
-// MergeFrom folds other's visit records into v, keeping the most recent
-// step per node. This is the "become identical after meeting" mechanism of
-// super-conscientious (mapping) and communicating oldest-node (routing)
-// agents. It returns the number of records that changed v.
-//
-// Records are applied freshest-first (ties by node ID) rather than in map
-// iteration order, so bounded merges evict deterministically.
-func (v *Visits) MergeFrom(other *Visits) int {
-	entries := make([]visitRec, 0, len(other.last))
-	for u, s := range other.last {
-		entries = append(entries, visitRec{node: u, step: s})
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].step != entries[j].step {
-			return entries[i].step > entries[j].step
-		}
-		return entries[i].node < entries[j].node
-	})
-	changed := 0
-	for _, e := range entries {
-		if prev, ok := v.last[e.node]; !ok || e.step > prev {
-			// Eviction applies only to brand-new entries.
-			if !ok && v.capacity > 0 && len(v.last) >= v.capacity {
-				v.evictOldest()
-			}
-			v.last[e.node] = e.step
-			changed++
-		}
-	}
-	return changed
+	pos      []int32
+	recs     []visitRec
 }
 
 type visitRec struct {
@@ -101,97 +30,167 @@ type visitRec struct {
 	step int
 }
 
+// NewVisits returns a visit memory holding at most capacity entries
+// (0 = unbounded).
+func NewVisits(capacity int) *Visits {
+	return &Visits{capacity: capacity}
+}
+
+// Len returns the number of remembered nodes.
+func (v *Visits) Len() int { return len(v.recs) }
+
+// Capacity returns the configured bound (0 = unbounded).
+func (v *Visits) Capacity() int { return v.capacity }
+
+// Record notes that the agent stood on node u at the given step.
+func (v *Visits) Record(u NodeID, step int) {
+	if v.slot(u) == 0 && v.capacity > 0 && len(v.recs) >= v.capacity {
+		v.evictOldest()
+	}
+	v.raise(u, step)
+}
+
+// raise records u at step unless it is remembered at that step or later,
+// reporting whether the memory changed. It never evicts.
+func (v *Visits) raise(u NodeID, step int) bool {
+	if p := v.slot(u); p != 0 {
+		r := &v.recs[p-1]
+		if step <= r.step {
+			return false
+		}
+		r.step = step
+		return true
+	}
+	if int(u) >= len(v.pos) {
+		v.pos = append(v.pos, make([]int32, int(u)+1-len(v.pos))...)
+	}
+	v.recs = append(v.recs, visitRec{node: u, step: step})
+	v.pos[u] = int32(len(v.recs))
+	return true
+}
+
+// Last returns when u was last visited. ok is false if the agent never
+// visited u or has forgotten the visit.
+func (v *Visits) Last(u NodeID) (step int, ok bool) {
+	if p := v.slot(u); p != 0 {
+		return v.recs[p-1].step, true
+	}
+	return 0, false
+}
+
+// slot returns u's index entry: 0 if absent, else its position+1.
+func (v *Visits) slot(u NodeID) int32 {
+	if uint(u) < uint(len(v.pos)) {
+		return v.pos[u]
+	}
+	return 0
+}
+
+// evictOldest removes the entry with the smallest step, breaking ties by
+// smallest node ID, and swaps the last record into its place.
+func (v *Visits) evictOldest() {
+	victim := 0
+	for i, r := range v.recs {
+		if o := v.recs[victim]; r.step < o.step || (r.step == o.step && r.node < o.node) {
+			victim = i
+		}
+	}
+	last := len(v.recs) - 1
+	v.pos[v.recs[victim].node] = 0
+	if victim != last {
+		v.recs[victim] = v.recs[last]
+		v.pos[v.recs[victim].node] = int32(victim + 1)
+	}
+	v.recs = v.recs[:last]
+}
+
+// clear forgets every record, zeroing only the index entries it held.
+func (v *Visits) clear() {
+	for _, r := range v.recs {
+		v.pos[r.node] = 0
+	}
+	v.recs = v.recs[:0]
+}
+
 // MergeAll folds the visit memories of a meeting group into their union —
 // the most recent step per node — and installs that union in every member,
-// bounded to each member's own capacity by dropping the oldest records.
-// Afterwards equal-capacity members are identical, which is exactly the
-// post-meeting state the paper describes. It returns, per member, how many
-// records were added or refreshed. It is much cheaper than pairwise
-// MergeFrom for the clumped groups cooperation produces.
+// bounded to each member's own capacity by keeping the freshest records
+// (ties by smallest node ID). This is the "become identical after meeting"
+// mechanism of super-conscientious (mapping) and communicating oldest-node
+// (routing) agents: afterwards equal-capacity members are identical. It
+// returns, per member, how many records were added or refreshed.
 func MergeAll(ms []*Visits) []int {
 	var s MergeScratch
 	return s.MergeAll(ms)
 }
 
-// MergeScratch carries the reusable buffers of MergeAll: the union map,
-// the sorted record list, and the per-member change counts. Meetings
-// happen tens of thousands of times per run, so reusing these is a large
-// share of making the simulation loop allocation-free. The zero value is
-// ready; the slice MergeAll returns aliases the scratch and is valid until
-// the next call.
+// MergeScratch carries the reusable buffers of MergeAll: the union memory
+// and the per-member change counts. Meetings happen tens of thousands of
+// times per run, so reusing these is a large share of making the
+// simulation loop allocation-free. The zero value is ready; the slice
+// MergeAll returns aliases the scratch and is valid until the next call.
 type MergeScratch struct {
-	union   map[NodeID]int
-	entries []visitRec
+	union   Visits
 	changed []int
 }
 
 // MergeAll is the scratch-buffered form of the package-level MergeAll:
 // identical results and member states, zero steady-state allocations.
 func (s *MergeScratch) MergeAll(ms []*Visits) []int {
-	if s.union == nil {
-		s.union = make(map[NodeID]int)
-	} else {
-		clear(s.union)
-	}
+	u := &s.union
+	u.clear()
 	for _, m := range ms {
-		for u, st := range m.last {
-			if p, ok := s.union[u]; !ok || st > p {
-				s.union[u] = st
-			}
+		for _, r := range m.recs {
+			u.raise(r.node, r.step)
 		}
 	}
-	entries := s.entries[:0]
-	for u, st := range s.union {
-		entries = append(entries, visitRec{node: u, step: st})
+	// Order only matters to a member whose capacity truncates the union.
+	for _, m := range ms {
+		if m.capacity > 0 && len(u.recs) > m.capacity {
+			slices.SortFunc(u.recs, fresherFirst)
+			break
+		}
 	}
-	slices.SortFunc(entries, func(a, b visitRec) int {
-		if a.step != b.step {
-			if a.step > b.step {
-				return -1
-			}
-			return 1
-		}
-		if a.node != b.node {
-			if a.node < b.node {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
-	s.entries = entries
 	if cap(s.changed) < len(ms) {
 		s.changed = make([]int, len(ms))
 	}
 	changed := s.changed[:len(ms)]
 	for i, m := range ms {
-		kept := entries
-		if m.capacity > 0 && len(kept) > m.capacity {
-			kept = kept[:m.capacity]
-		}
-		// Count what the union adds or refreshes against the member's
-		// pre-meeting state, then rewrite the member in place — the
-		// entries are unique per node, so counting first and installing
-		// second matches building a fresh map.
 		changed[i] = 0
-		for _, e := range kept {
-			if p, ok := m.last[e.node]; !ok || e.step > p {
+		if m.capacity <= 0 || len(u.recs) <= m.capacity {
+			// The member's records are a subset of the union, so raising
+			// them in place installs it.
+			for _, r := range u.recs {
+				if m.raise(r.node, r.step) {
+					changed[i]++
+				}
+			}
+			continue
+		}
+		// Count what the freshest records add or refresh against the
+		// member's pre-meeting state, then replace its memory with them.
+		// A full member they leave unchanged already holds exactly them.
+		kept := u.recs[:m.capacity]
+		for _, r := range kept {
+			if p := m.slot(r.node); p == 0 || r.step > m.recs[p-1].step {
 				changed[i]++
 			}
 		}
-		clear(m.last)
-		for _, e := range kept {
-			m.last[e.node] = e.step
+		if changed[i] == 0 {
+			continue
+		}
+		m.clear()
+		for _, r := range kept {
+			m.raise(r.node, r.step)
 		}
 	}
 	return changed
 }
 
-// Clone returns a deep copy.
-func (v *Visits) Clone() *Visits {
-	c := NewVisits(v.capacity)
-	for u, s := range v.last {
-		c.last[u] = s
+// fresherFirst orders records by descending step, ties by ascending node.
+func fresherFirst(a, b visitRec) int {
+	if c := cmp.Compare(b.step, a.step); c != 0 {
+		return c
 	}
-	return c
+	return cmp.Compare(a.node, b.node)
 }

@@ -141,6 +141,15 @@ func Generate(spec Spec, seed uint64) (*network.World, error) {
 	if spec.Gateways >= spec.N {
 		return nil, fmt.Errorf("netgen: %d gateways for %d nodes", spec.Gateways, spec.N)
 	}
+	if !(spec.MobileFraction >= 0 && spec.MobileFraction <= 1) {
+		return nil, fmt.Errorf("netgen: MobileFraction must be in [0,1], got %g", spec.MobileFraction)
+	}
+	if !(spec.MinSpeed >= 0 && spec.MaxSpeed >= 0) {
+		return nil, fmt.Errorf("netgen: speeds must be non-negative, got MinSpeed %g MaxSpeed %g", spec.MinSpeed, spec.MaxSpeed)
+	}
+	if spec.MinSpeed > spec.MaxSpeed {
+		return nil, fmt.Errorf("netgen: MinSpeed %g exceeds MaxSpeed %g", spec.MinSpeed, spec.MaxSpeed)
+	}
 	maxTries := spec.MaxTries
 	if maxTries <= 0 {
 		maxTries = 128

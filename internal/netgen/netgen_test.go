@@ -16,6 +16,12 @@ func TestGenerateValidation(t *testing.T) {
 		{"zero edges", Spec{N: 10, ArenaSide: 10}},
 		{"zero arena", Spec{N: 10, TargetEdges: 10}},
 		{"too many gateways", Spec{N: 5, TargetEdges: 10, ArenaSide: 10, Gateways: 5}},
+		{"mobile fraction above 1", mobileSpec(2, 0.1, 0.5)},
+		{"negative mobile fraction", mobileSpec(-0.1, 0.1, 0.5)},
+		{"NaN mobile fraction", mobileSpec(math.NaN(), 0.1, 0.5)},
+		{"negative min speed", mobileSpec(0.5, -1, 0.5)},
+		{"negative max speed", mobileSpec(0.5, 0, -0.5)},
+		{"min speed above max", mobileSpec(0.5, 1, 0.1)},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -24,6 +30,13 @@ func TestGenerateValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// mobileSpec is the routing network with the given mobility settings.
+func mobileSpec(fraction, minSpeed, maxSpeed float64) Spec {
+	spec := Routing250()
+	spec.MobileFraction, spec.MinSpeed, spec.MaxSpeed = fraction, minSpeed, maxSpeed
+	return spec
 }
 
 func TestMapping300Shape(t *testing.T) {

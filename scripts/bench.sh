@@ -21,6 +21,11 @@
 # (results/BENCH_connectivity.json, root copy BENCH_connectivity.json)
 # compares the full-scratch measurement phase against the incremental
 # meter at n=500/8000/100000, with >=3x and 0 allocs/op floors at n=8000.
+# The agent tier (results/BENCH_agent.json, root copy BENCH_agent.json)
+# compares the dense visit memory against its hash-map referee on meeting
+# merges and bounded recording, with a >=3x floor on the 40-agent clump and
+# a 0 allocs/op floor. The trace tier also holds the binary log encoder to
+# at most 3x the JSONL encoder's time.
 # Usage: scripts/bench.sh [benchtime]   (default 5x; `scripts/bench.sh 1x`
 # is the CI smoke run, which skips the sweep timing). The world-step
 # benchmarks default to 600 fixed iterations for stable per-step numbers;
@@ -247,6 +252,18 @@ if [ "$ratio_ok" != 1 ]; then
   echo "FAIL: binary log is only $(awk -v jb="$jsonl_bytes" -v bb="$binary_bytes" 'BEGIN{printf "%.2f", jb/bb}')x smaller than JSONL (floor: 5x)" >&2
   exit 1
 fi
+# Encoder speed floor: the binary encoder may cost at most 3x the JSONL
+# encoder's ns/op (skipped on the 1x smoke, where one iteration is noise).
+if [ "$benchtime" != "1x" ]; then
+  enc_ok=$(awk '
+    /^BenchmarkTraceEncode\/format=jsonl/ { js = $3 }
+    /^BenchmarkTraceEncode\/format=binary/ { bin = $3 }
+    END { print (js + 0 > 0 && bin + 0 > 0 && bin <= 3 * js) ? 1 : 0 }' "$traw")
+  if [ "$enc_ok" != 1 ]; then
+    echo "FAIL: binary log encoding is over 3x slower than JSONL encoding" >&2
+    exit 1
+  fi
+fi
 
 # --- trajectory replay: record-once, replay-many stepping engine ---
 # mode=replay steps a world by applying a pre-recorded delta — no mobility
@@ -390,6 +407,68 @@ if [ "$conn_benchtime" != "1x" ]; then
     echo "FAIL: incremental measurement at n=8000 missed its floor (need >=3x over full AND 0 allocs/op)" >&2
     exit 1
   fi
+fi
+
+# --- agent memory: dense visit memory vs the hash-map referee ---
+# BenchmarkMergeAll times one meeting of a cooperating group (every member
+# records one fresh visit, then the group merges histories): a 40-agent
+# unbounded clump at n=300 (Fig 5's largest team) and a 100-agent group
+# with 32-record memories at n=250. BenchmarkVisitsRecordBounded times one
+# Record into a full 32-record memory at n=250. impl=ref is the hash-map
+# memory the dense one replaced, kept as a test referee; the equivalence
+# fuzzer pins the two identical. Floors: dense >=3x over the referee on the
+# 40-agent clump (skipped on the 1x smoke) and 0 allocs/op for every dense
+# benchmark.
+agent_benchtime=1s
+if [ "$benchtime" = "1x" ]; then
+  agent_benchtime="1x"
+fi
+araw="$out/bench_agent.txt"
+ajson="$out/BENCH_agent.json"
+
+{
+  echo "# Agent visit memory — dense index + record list vs hash-map referee"
+  echo "# host: $(nproc) CPU(s), $(go version | cut -d' ' -f3-)"
+  echo "# benchtime: $agent_benchtime"
+  go test -run '^$' -benchtime "$agent_benchtime" -benchmem \
+    -bench 'BenchmarkMergeAll|BenchmarkVisitsRecordBounded' ./internal/knowledge
+} | tee "$araw"
+
+awk -v cpus="$(nproc)" '
+/^Benchmark(MergeAll|VisitsRecordBounded)/ {
+  name = $1
+  sub(/-[0-9]+$/, "", name)
+  if (!(name in ns)) order[n++] = name
+  ns[name] = $3
+  allocs[name] = $7
+}
+END {
+  printf "[\n"
+  for (i = 0; i < n; i++) {
+    nm = order[i]
+    base = nm
+    sub(/impl=dense$/, "impl=ref", base)
+    sp = (nm ~ /impl=dense$/ && ns[nm] + 0 > 0) ? ns[base] / ns[nm] : 1.0
+    printf "  {\"name\": \"%s\", \"ns_per_op\": %s, \"allocs_per_op\": %s, \"speedup_vs_ref\": %.3f, \"cpus\": %d}%s\n", \
+      nm, ns[nm], allocs[nm], sp, cpus, (i < n - 1 ? "," : "")
+  }
+  printf "]\n"
+}' "$araw" > "$ajson"
+if [ "$out" = "results" ]; then
+  cp "$ajson" BENCH_agent.json
+  echo "wrote $ajson (copied to ./BENCH_agent.json)"
+else
+  echo "wrote $ajson"
+fi
+
+agent_ok=$(awk -v smoke="$([ "$agent_benchtime" = 1x ] && echo 1 || echo 0)" '
+  /^Benchmark(MergeAll|VisitsRecordBounded)\/.*impl=dense/ { dense++; if ($7 + 0 != 0) bad = 1 }
+  /^BenchmarkMergeAll\/clump40-n300\/impl=dense/ { d = $3 }
+  /^BenchmarkMergeAll\/clump40-n300\/impl=ref/ { r = $3 }
+  END { print (dense > 0 && !bad && (smoke || (d + 0 > 0 && r >= 3 * d))) ? 1 : 0 }' "$araw")
+if [ "$agent_ok" != 1 ]; then
+  echo "FAIL: dense visit memory missed its floor (need >=3x over the referee on clump40-n300 AND 0 allocs/op)" >&2
+  exit 1
 fi
 
 if [ "$benchtime" != "1x" ]; then

@@ -111,6 +111,16 @@ echo "== world-delta decoder fuzzing (20 s each)"
 go test -run '^$' -fuzz '^FuzzLogReader$' -fuzztime 20s ./internal/trace
 go test -run '^$' -fuzz '^FuzzTrajectoryDecode$' -fuzztime 20s ./internal/network
 
+echo "== dense visit memory equivalence fuzzing (20 s)"
+# The dense visit memory must stay identical to its hash-map referee —
+# Len, Last for every node, and per-member merge change counts — under any
+# tape of records and meetings (seed corpus runs in the full suite above).
+# Each execution checks every member at every node ID after every op, so
+# minimising a new input is bounded to 2 s instead of the 60 s default,
+# which would otherwise eat the whole fuzzing budget.
+go test -run '^$' -fuzz '^FuzzVisitsMergeEquivalence$' -fuzztime 20s -fuzzminimizetime 2s \
+  ./internal/knowledge
+
 echo "== incremental-measurement equivalence gate (-race)"
 # The churn-proportional measurement meter must report bit-identical
 # numbers to the full scratch recompute at every step — across fault
@@ -161,6 +171,8 @@ test -s "$benchout/BENCH_trajectory.json"
 grep -q '"speedup_vs_live"' "$benchout/BENCH_trajectory.json"
 test -s "$benchout/BENCH_connectivity.json"
 grep -q '"speedup_vs_full"' "$benchout/BENCH_connectivity.json"
+test -s "$benchout/BENCH_agent.json"
+grep -q '"speedup_vs_ref"' "$benchout/BENCH_agent.json"
 rm -rf "$benchout"
 
 echo "== metrics exposition smoke"
