@@ -60,6 +60,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mapping:", err)
 		os.Exit(2)
 	}
+	// The scenarios replace an out-of-range count with a default, so
+	// reject it here rather than run a substituted value.
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{{"agents", *agents, 1}, {"runs", *runs, 1}, {"maxsteps", *maxSteps, 1}, {"memory", *memory, 0}} {
+		if f.val < f.min {
+			fmt.Fprintf(os.Stderr, "mapping: -%s must be at least %d, got %d\n", f.name, f.min, f.val)
+			os.Exit(2)
+		}
+	}
 	spec := netgen.Spec{
 		N: *nodes, TargetEdges: *edges, ArenaSide: *arena,
 		RangeSpread: *spread, RequireStrong: true,

@@ -62,6 +62,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "routing:", err)
 		os.Exit(2)
 	}
+	// The scenarios replace an out-of-range count with a default, so
+	// reject it here rather than run a substituted value.
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{{"agents", *agents, 1}, {"steps", *steps, 1}, {"runs", *runs, 1}, {"history", *history, 1}} {
+		if f.val < f.min {
+			fmt.Fprintf(os.Stderr, "routing: -%s must be at least %d, got %d\n", f.name, f.min, f.val)
+			os.Exit(2)
+		}
+	}
 	spec := netgen.Routing250()
 	spec.N = *nodes
 	spec.TargetEdges = *edges

@@ -86,9 +86,50 @@ func FuzzVisitsOps(f *testing.F) {
 // records node (a<<8|b)%601 at step c%32 into member (op>>3)%k; the small
 // step range makes eviction and truncation ties common. Ops past the
 // 512th are ignored.
+//
+// The named seeds steer merges onto and off the delta path: a group that
+// shares one merge epoch merges from its members' logs alone, and an
+// eviction, a truncating install, an outgrown log or a member from an
+// older merge sends it back to the full union.
 func FuzzVisitsMergeEquivalence(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 5, 1, 9, 0, 5, 1, 9, 1, 2, 7, 3, 0, 0})
 	f.Add([]byte{4, 0, 1, 2, 3, 0, 0, 1, 2, 1, 2, 3, 0xff, 7, 0xff, 0, 0})
+	// seed is a tape of k members with the given capacity codes.
+	seed := func(k byte, caps []byte, ops ...[]byte) []byte {
+		return slices.Concat(append([]byte{k - 2}, caps...), slices.Concat(ops...))
+	}
+	rec := func(m, node, step byte) []byte { return []byte{m << 3, 0, node, step} }
+	merge := func(mask byte) []byte { return []byte{7, mask, 0, 0} }
+	// Repeated merges of one subset, with records in between.
+	f.Add(seed(4, []byte{0, 0, 0, 3},
+		rec(0, 1, 1), rec(1, 2, 2), rec(2, 3, 3), merge(0b0110),
+		rec(1, 4, 4), rec(2, 1, 5), merge(0b0110), rec(2, 4, 6), rec(1, 4, 6),
+		merge(0b0110), merge(0b0110), rec(1, 9, 7), rec(2, 8, 8), merge(0b0110),
+		rec(0, 9, 9), merge(0b0111), rec(0, 2, 10), merge(0b0110), merge(0b0011)))
+	// Evictions at capacities 3 and 1 between merges. The first evicts
+	// the smallest of three tied records, which a truncating merge keeps.
+	f.Add(seed(4, []byte{2, 1, 0, 0},
+		rec(0, 1, 1), rec(0, 2, 1), rec(0, 3, 1), merge(0b0101), rec(0, 4, 2),
+		merge(0b0101), rec(0, 5, 3), merge(0b0101), rec(2, 6, 4), merge(0b0101),
+		rec(1, 6, 7), rec(3, 6, 6), merge(0b1010), rec(1, 6, 8), merge(0b1010),
+		rec(1, 7, 9), merge(0b1010), merge(0b1111)))
+	// A union that outgrows a member's capacity between merges.
+	f.Add(seed(2, []byte{2, 0},
+		rec(0, 1, 1), rec(1, 2, 1), merge(0b11), rec(1, 5, 2), rec(1, 6, 2),
+		merge(0b11), rec(0, 5, 3), merge(0b11)))
+	// A log that outgrows its memory.
+	f.Add(seed(2, []byte{0, 0},
+		rec(0, 1, 1), merge(0b11), rec(0, 1, 2), rec(0, 1, 3), rec(0, 1, 4),
+		merge(0b11), rec(1, 2, 5), rec(1, 2, 6), merge(0b11)))
+	// A member stamped by an older merge joins a newer group.
+	f.Add(seed(3, []byte{0, 0, 2},
+		rec(0, 1, 1), rec(1, 2, 2), rec(2, 3, 3), merge(0b111), rec(0, 4, 4),
+		merge(0b011), rec(2, 5, 5), merge(0b111), rec(1, 6, 6), merge(0b011),
+		merge(0b110), rec(0, 7, 7), merge(0b101)))
+	// Empty and one-member groups.
+	f.Add(seed(2, []byte{0, 2},
+		merge(0), rec(0, 1, 1), merge(0b01), merge(0b01), rec(0, 2, 2),
+		merge(0b01), merge(0), rec(1, 3, 3), merge(0b10), merge(0b11), merge(0)))
 	s := rng.New(13)
 	long := []byte{3, 0, 3, 2, 1, 0}
 	for i := 0; i < 500; i++ {

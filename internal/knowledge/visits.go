@@ -3,6 +3,7 @@ package knowledge
 import (
 	"cmp"
 	"slices"
+	"sync/atomic"
 )
 
 // Visits is an agent's bounded memory of when it last visited each node.
@@ -19,10 +20,16 @@ import (
 // per-node index into it (0 = absent, else position+1) that grows to the
 // largest node ID recorded. Last is one index load, and an eviction
 // scans at most Len contiguous records.
+//
+// epoch is the token of the merge that last installed its whole union
+// here (0 = none), and log lists the nodes Record has changed since; see
+// MergeScratch.MergeAll.
 type Visits struct {
 	capacity int
 	pos      []int32
 	recs     []visitRec
+	epoch    uint64
+	log      []NodeID
 }
 
 type visitRec struct {
@@ -46,8 +53,21 @@ func (v *Visits) Capacity() int { return v.capacity }
 func (v *Visits) Record(u NodeID, step int) {
 	if v.slot(u) == 0 && v.capacity > 0 && len(v.recs) >= v.capacity {
 		v.evictOldest()
+		v.stamp(0)
 	}
-	v.raise(u, step)
+	if v.raise(u, step) && v.epoch != 0 {
+		v.log = append(v.log, u)
+		if len(v.log) > len(v.recs) {
+			v.stamp(0)
+		}
+	}
+}
+
+// stamp marks the memory as holding exactly the union installed by merge
+// epoch (0 = no merge) and empties its log.
+func (v *Visits) stamp(epoch uint64) {
+	v.epoch = epoch
+	v.log = v.log[:0]
 }
 
 // raise records u at step unless it is remembered at that step or later,
@@ -110,6 +130,7 @@ func (v *Visits) clear() {
 		v.pos[r.node] = 0
 	}
 	v.recs = v.recs[:0]
+	v.stamp(0)
 }
 
 // MergeAll folds the visit memories of a meeting group into their union —
@@ -132,11 +153,81 @@ func MergeAll(ms []*Visits) []int {
 type MergeScratch struct {
 	union   Visits
 	changed []int
+	deltas  int // merges that took the delta path, for tests
 }
+
+// mergeEpochs issues merge tokens. It is shared by every scratch because
+// groups merge concurrently, and a token must name one merge.
+var mergeEpochs atomic.Uint64
 
 // MergeAll is the scratch-buffered form of the package-level MergeAll:
 // identical results and member states, zero steady-state allocations.
+//
+// Every member that receives the whole union is stamped with a fresh
+// epoch, after which Record logs the nodes it changes. A group whose
+// members all carry one epoch each hold that epoch's union plus their
+// logged nodes, so their new union is the old one raised by the logged
+// records alone, and merging costs members × logged records rather than
+// members × union.
 func (s *MergeScratch) MergeAll(ms []*Visits) []int {
+	if cap(s.changed) < len(ms) {
+		s.changed = make([]int, len(ms))
+	}
+	changed := s.changed[:len(ms)]
+	clear(changed)
+	epoch := mergeEpochs.Add(1)
+	if s.mergeDelta(ms, changed, epoch) {
+		s.deltas++
+	} else {
+		s.mergeFull(ms, changed, epoch)
+	}
+	return changed
+}
+
+// mergeDelta merges a group that shares one epoch from its members' logs,
+// reporting false, with nothing changed, when the group does not share
+// one or the new union would overflow a member's capacity.
+func (s *MergeScratch) mergeDelta(ms []*Visits, changed []int, epoch uint64) bool {
+	if len(ms) == 0 || ms[0].epoch == 0 {
+		return false
+	}
+	// A logged node is at its freshest in the members that logged it.
+	d := &s.union
+	d.clear()
+	for _, m := range ms {
+		if m.epoch != ms[0].epoch {
+			return false
+		}
+		for _, u := range m.log {
+			step, _ := m.Last(u)
+			d.raise(u, step)
+		}
+	}
+	// The new union is any member plus the logged nodes it lacks.
+	size := len(ms[0].recs)
+	for _, r := range d.recs {
+		if ms[0].slot(r.node) == 0 {
+			size++
+		}
+	}
+	for _, m := range ms {
+		if m.capacity > 0 && size > m.capacity {
+			return false
+		}
+	}
+	for i, m := range ms {
+		for _, r := range d.recs {
+			if m.raise(r.node, r.step) {
+				changed[i]++
+			}
+		}
+		m.stamp(epoch)
+	}
+	return true
+}
+
+// mergeFull builds the group's union from every member's records.
+func (s *MergeScratch) mergeFull(ms []*Visits, changed []int, epoch uint64) {
 	u := &s.union
 	u.clear()
 	for _, m := range ms {
@@ -151,12 +242,7 @@ func (s *MergeScratch) MergeAll(ms []*Visits) []int {
 			break
 		}
 	}
-	if cap(s.changed) < len(ms) {
-		s.changed = make([]int, len(ms))
-	}
-	changed := s.changed[:len(ms)]
 	for i, m := range ms {
-		changed[i] = 0
 		if m.capacity <= 0 || len(u.recs) <= m.capacity {
 			// The member's records are a subset of the union, so raising
 			// them in place installs it.
@@ -165,11 +251,13 @@ func (s *MergeScratch) MergeAll(ms []*Visits) []int {
 					changed[i]++
 				}
 			}
+			m.stamp(epoch)
 			continue
 		}
 		// Count what the freshest records add or refresh against the
 		// member's pre-meeting state, then replace its memory with them.
 		// A full member they leave unchanged already holds exactly them.
+		m.stamp(0)
 		kept := u.recs[:m.capacity]
 		for _, r := range kept {
 			if p := m.slot(r.node); p == 0 || r.step > m.recs[p-1].step {
@@ -184,7 +272,6 @@ func (s *MergeScratch) MergeAll(ms []*Visits) []int {
 			m.raise(r.node, r.step)
 		}
 	}
-	return changed
 }
 
 // fresherFirst orders records by descending step, ties by ascending node.

@@ -1,6 +1,7 @@
 package knowledge
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -129,39 +130,50 @@ var (
 )
 
 // mergeWorkload is one meeting shape: members agents on an n-node network
-// with the given visit capacity (0 = unbounded).
+// with the given visit capacity (0 = unbounded). With window set, the
+// group is a window of members agents sliding one place per meeting over
+// a ring of window agents, so every meeting mixes members last merged
+// together with one last merged elsewhere; otherwise the same group meets
+// every time.
 type mergeWorkload struct {
-	name                 string
-	members, n, capacity int
+	name                         string
+	members, n, capacity, window int
 }
 
 var mergeWorkloads = []mergeWorkload{
-	{"clump40-n300", 40, 300, 0},
-	{"group100-n250-cap32", 100, 250, 32},
+	{"clump40-n300", 40, 300, 0, 0},
+	{"window40of80-n300", 40, 300, 0, 80},
+	{"group100-n250-cap32", 100, 250, 32, 0},
 }
 
 // mergeLoop builds a warmed-up meeting group and returns one iteration of
-// its steady state: every member records one fresh visit, then the group
+// its steady state: every agent records one fresh visit, then the group
 // merges.
 func mergeLoop[V visitMem](impl visitImpl[V], wl mergeWorkload) func() {
 	s := rng.New(1)
-	ms := make([]V, wl.members)
+	ms := make([]V, max(wl.members, wl.window))
 	for i := range ms {
 		ms[i] = impl.make(wl.capacity)
 		for step := 0; step < wl.n; step++ {
 			ms[i].Record(NodeID(s.Intn(wl.n)), step)
 		}
 	}
+	ring := slices.Concat(ms, ms)
 	merge := impl.newMerge()
-	step := wl.n
+	step, off := wl.n, 0
 	iter := func() {
 		step++
 		for _, m := range ms {
 			m.Record(NodeID(s.Intn(wl.n)), step)
 		}
-		merge(ms)
+		merge(ring[off : off+wl.members])
+		if wl.window > 0 {
+			off = (off + 1) % wl.window
+		}
 	}
-	for i := 0; i < 10; i++ {
+	// A sliding window reaches every agent, and its buffers stop growing,
+	// only after two laps of the ring.
+	for i := 0; i < 10+2*wl.window; i++ {
 		iter()
 	}
 	return iter
@@ -178,10 +190,12 @@ func benchMergeAll[V visitMem](b *testing.B, impl visitImpl[V], wl mergeWorkload
 	})
 }
 
-// BenchmarkMergeAll times one meeting of a cooperating group: a 40-agent
-// unbounded clump on the 300-node mapping network (Fig 5's largest team)
-// and a 100-agent group with 32-record memories on the 250-node MANET
-// (Fig 8/11's bounded histories), dense memory against the referee.
+// BenchmarkMergeAll times one meeting of a cooperating group, dense memory
+// against the referee: a 40-agent unbounded clump on the 300-node mapping
+// network (Fig 5's largest team, which merges from its logs), a 40-agent
+// window sliding over 80 such agents (every meeting builds the full
+// union), and a 100-agent group with 32-record memories on the 250-node
+// MANET (Fig 8/11's bounded histories, whose union truncates).
 func BenchmarkMergeAll(b *testing.B) {
 	for _, wl := range mergeWorkloads {
 		benchMergeAll(b, denseImpl, wl)
@@ -210,6 +224,47 @@ func benchRecordBounded[V visitMem](b *testing.B, impl visitImpl[V]) {
 func BenchmarkVisitsRecordBounded(b *testing.B) {
 	benchRecordBounded(b, denseImpl)
 	benchRecordBounded(b, refImpl)
+}
+
+// TestMergeAllDeltaPath checks that a persisting unbounded clump, each
+// member recording one node per step, merges from its logs every time
+// after the first, with the referee's changed counts and memories.
+func TestMergeAllDeltaPath(t *testing.T) {
+	const members, n, steps = 40, 300, 200
+	s := rng.New(3)
+	dense := make([]*Visits, members)
+	ref := make([]*refVisits, members)
+	for i := range dense {
+		dense[i], ref[i] = NewVisits(0), newRefVisits(0)
+	}
+	var ds MergeScratch
+	var rs refMergeScratch
+	for step := 0; step < steps; step++ {
+		for i := range dense {
+			u := NodeID(s.Intn(n))
+			dense[i].Record(u, step)
+			ref[i].Record(u, step)
+		}
+		got, want := ds.MergeAll(dense), rs.MergeAll(ref)
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d: changed %v, referee %v", step, got, want)
+		}
+		if ds.deltas != step {
+			t.Fatalf("step %d: %d merges took the delta path, want %d", step, ds.deltas, step)
+		}
+	}
+	for i := range dense {
+		if dense[i].Len() != ref[i].Len() {
+			t.Fatalf("member %d: Len %d, referee %d", i, dense[i].Len(), ref[i].Len())
+		}
+		for u := NodeID(0); u < n; u++ {
+			gs, gok := dense[i].Last(u)
+			ws, wok := ref[i].Last(u)
+			if gs != ws || gok != wok {
+				t.Fatalf("member %d: Last(%d) = %d,%v, referee %d,%v", i, u, gs, gok, ws, wok)
+			}
+		}
+	}
 }
 
 // TestMergeAllSteadyStateAllocs enforces that meetings and bounded visit

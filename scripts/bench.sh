@@ -23,8 +23,8 @@
 # meter at n=500/8000/100000, with >=3x and 0 allocs/op floors at n=8000.
 # The agent tier (results/BENCH_agent.json, root copy BENCH_agent.json)
 # compares the dense visit memory against its hash-map referee on meeting
-# merges and bounded recording, with a >=3x floor on the 40-agent clump and
-# a 0 allocs/op floor. The trace tier also holds the binary log encoder to
+# merges and bounded recording, with >=3x floors on the 40-agent clump and
+# the sliding 40-of-80 window and a 0 allocs/op floor. The trace tier also holds the binary log encoder to
 # at most 3x the JSONL encoder's time.
 # Usage: scripts/bench.sh [benchtime]   (default 5x; `scripts/bench.sh 1x`
 # is the CI smoke run, which skips the sweep timing). The world-step
@@ -412,13 +412,15 @@ fi
 # --- agent memory: dense visit memory vs the hash-map referee ---
 # BenchmarkMergeAll times one meeting of a cooperating group (every member
 # records one fresh visit, then the group merges histories): a 40-agent
-# unbounded clump at n=300 (Fig 5's largest team) and a 100-agent group
+# unbounded clump at n=300 (Fig 5's largest team, merged from the records
+# changed since its last merge), a 40-agent window sliding over 80 such
+# agents (every meeting builds the full union), and a 100-agent group
 # with 32-record memories at n=250. BenchmarkVisitsRecordBounded times one
 # Record into a full 32-record memory at n=250. impl=ref is the hash-map
 # memory the dense one replaced, kept as a test referee; the equivalence
 # fuzzer pins the two identical. Floors: dense >=3x over the referee on the
-# 40-agent clump (skipped on the 1x smoke) and 0 allocs/op for every dense
-# benchmark.
+# 40-agent clump and the sliding window (skipped on the 1x smoke) and 0
+# allocs/op for every dense benchmark.
 agent_benchtime=1s
 if [ "$benchtime" = "1x" ]; then
   agent_benchtime="1x"
@@ -465,9 +467,11 @@ agent_ok=$(awk -v smoke="$([ "$agent_benchtime" = 1x ] && echo 1 || echo 0)" '
   /^Benchmark(MergeAll|VisitsRecordBounded)\/.*impl=dense/ { dense++; if ($7 + 0 != 0) bad = 1 }
   /^BenchmarkMergeAll\/clump40-n300\/impl=dense/ { d = $3 }
   /^BenchmarkMergeAll\/clump40-n300\/impl=ref/ { r = $3 }
-  END { print (dense > 0 && !bad && (smoke || (d + 0 > 0 && r >= 3 * d))) ? 1 : 0 }' "$araw")
+  /^BenchmarkMergeAll\/window40of80-n300\/impl=dense/ { wd = $3 }
+  /^BenchmarkMergeAll\/window40of80-n300\/impl=ref/ { wr = $3 }
+  END { print (dense > 0 && !bad && (smoke || (d + 0 > 0 && r >= 3 * d && wd + 0 > 0 && wr >= 3 * wd))) ? 1 : 0 }' "$araw")
 if [ "$agent_ok" != 1 ]; then
-  echo "FAIL: dense visit memory missed its floor (need >=3x over the referee on clump40-n300 AND 0 allocs/op)" >&2
+  echo "FAIL: dense visit memory missed its floor (need >=3x over the referee on clump40-n300 and window40of80-n300 AND 0 allocs/op)" >&2
   exit 1
 fi
 

@@ -121,6 +121,29 @@ echo "== dense visit memory equivalence fuzzing (20 s)"
 go test -run '^$' -fuzz '^FuzzVisitsMergeEquivalence$' -fuzztime 20s -fuzzminimizetime 2s \
   ./internal/knowledge
 
+echo "== perfbench self-test"
+# The benchmark is its own module; its tests run a toy-scale pass of every
+# workload against pinned hashes, so a behaviour change shows up here
+# before a benchmark run does.
+(cd perfbench && go test ./...)
+
+echo "== CLI usage-error exit codes"
+# Out-of-range counts must be rejected with exit 2, not replaced by a
+# default and run.
+clidir=$(mktemp -d)
+go build -o "$clidir" ./cmd/mapping ./cmd/routing
+for cmdline in "mapping -agents -3" "routing -steps -5"; do
+  set +e
+  "$clidir"/$cmdline >/dev/null 2>&1
+  code=$?
+  set -e
+  if [ "$code" != 2 ]; then
+    echo "FAIL: '$cmdline' exited $code, want 2" >&2
+    exit 1
+  fi
+done
+rm -rf "$clidir"
+
 echo "== incremental-measurement equivalence gate (-race)"
 # The churn-proportional measurement meter must report bit-identical
 # numbers to the full scratch recompute at every step — across fault
